@@ -2,7 +2,7 @@
 
 The sum sqrt(f_1) + ... + sqrt(f_m) of independent square roots generates
 the whole compositum field; its minimal polynomial has degree 2^m and is
-produced by iterated Sylvester resultants
+produced by iterated resultants
 
     P_(k+1)(z) = Res_y(P_k(z - y), y^2 - f_(k+1)),   P_1 = z^2 - f_1.
 

@@ -23,9 +23,9 @@ from .decide import (
     RATIONALIZABLE,
     ScanParams,
     conjecture_scan,
-    decide_set,
+    decide_set_table,
     decide_single_root,
-    subset_criterion,
+    subset_criterion_table,
 )
 from .errors import SqratError
 from .genus import CoverSpec, cyclic_cover_genus, multiquadratic_genus_table
@@ -106,9 +106,9 @@ def cmd_decide(args) -> int:
         ], args.as_json)
         return 0 if verdict.status == RATIONALIZABLE else 1
     _require_square_roots(specs, "decide on a set")
-    rads = [s.expr for s in specs]
-    verdict = decide_set(rads)
-    passes, failing = subset_criterion(rads)
+    table = build_branch_table([s.expr for s in specs])
+    verdict = decide_set_table(table)
+    passes, failing = subset_criterion_table(table)
     if verdict.status == NOT_RATIONALIZABLE and failing is not None:
         verdict.failing_subset = failing
     report.update(

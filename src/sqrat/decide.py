@@ -15,6 +15,10 @@ class degree at most 2.  Whether the condition is also sufficient is an
 open conjecture; conjecture_scan searches random families for
 disagreements between the criterion and the exact genus decision and
 reports them without judging.
+
+Both questions are read off the same branch table, so a request that asks
+both (a scan trial, the CLI's decide) builds the table once and passes it
+to decide_set_table and subset_criterion_table.
 """
 
 from __future__ import annotations
@@ -24,19 +28,19 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import (
-    EmptyFamilyError,
-    FamilyTooLargeError,
-    InvalidParamsError,
-    ZeroRadicandError,
-)
+from .errors import FamilyTooLargeError, InvalidParamsError
 from .genus import (
     CoverSpec,
     cyclic_cover_genus,
     hyperelliptic_genus,
     multiquadratic_genus_table,
 )
-from .lattice import branch_count, build_branch_table
+from .lattice import (
+    BranchTable,
+    _coerce_radicands,
+    branch_count,
+    build_branch_table,
+)
 from .poly import RatFunc, UPoly
 from .rationalize import Witness, greedy_rationalize
 
@@ -70,22 +74,9 @@ class Verdict:
             raise ValueError("failing subset only accompanies a negative verdict")
 
 
-def _as_ratfunc_family(radicands: Sequence[RatFunc | UPoly]) -> list[RatFunc]:
-    if len(radicands) == 0:
-        raise EmptyFamilyError("the radicand family is empty")
-    out = []
-    for f in radicands:
-        if isinstance(f, UPoly):
-            f = RatFunc(f)
-        if f.is_zero:
-            raise ZeroRadicandError("zero radicand")
-        out.append(f)
-    return out
-
-
 def decide_single_sqrt(f: RatFunc | UPoly) -> Verdict:
     """Rationalizability of a single square root: genus zero test."""
-    [f] = _as_ratfunc_family([f])
+    [f] = _coerce_radicands([f])
     g = hyperelliptic_genus(f)
     status = RATIONALIZABLE if g == 0 else NOT_RATIONALIZABLE
     return Verdict(status=status, genus=g)
@@ -93,7 +84,7 @@ def decide_single_sqrt(f: RatFunc | UPoly) -> Verdict:
 
 def decide_single_root(f: RatFunc | UPoly, e: int) -> Verdict:
     """Rationalizability of a single e-th root via the cyclic cover genus."""
-    [f] = _as_ratfunc_family([f])
+    [f] = _coerce_radicands([f])
     g = cyclic_cover_genus(CoverSpec(f, e))
     status = RATIONALIZABLE if g == 0 else NOT_RATIONALIZABLE
     return Verdict(status=status, genus=g)
@@ -107,12 +98,15 @@ def decide_set(radicands: Sequence[RatFunc | UPoly],
     succeeds; its absence never changes the verdict.  The procedure is
     total on univariate input: the status is never unknown.
     """
-    rads = _as_ratfunc_family(radicands)
-    table = build_branch_table(rads)
+    return decide_set_table(build_branch_table(radicands), attach_witness)
+
+
+def decide_set_table(table: BranchTable, attach_witness: bool = True) -> Verdict:
+    """Same as decide_set, from a prebuilt branch table."""
     summary = branch_count(table)
     g = multiquadratic_genus_table(table)
     if g == 0:
-        witness = greedy_rationalize(rads) if attach_witness else None
+        witness = greedy_rationalize(table.radicands) if attach_witness else None
         return Verdict(status=RATIONALIZABLE, genus=0, rank=summary.rank,
                        branch_count=summary.branch_count, witness=witness)
     return Verdict(status=NOT_RATIONALIZABLE, genus=g, rank=summary.rank,
@@ -128,13 +122,17 @@ def subset_criterion(radicands: Sequence[RatFunc | UPoly]
     multiply by XOR of parity rows, so the check runs on the branch table
     without forming any products.
     """
-    rads = _as_ratfunc_family(radicands)
-    m = len(rads)
+    return subset_criterion_table(build_branch_table(radicands))
+
+
+def subset_criterion_table(table: BranchTable
+                           ) -> tuple[bool, Optional[list[int]]]:
+    """Same as subset_criterion, from a prebuilt branch table."""
+    m = table.family_size
     if m > SUBSET_FAMILY_LIMIT:
         raise FamilyTooLargeError(
             f"{m} radicands means 2^{m} subsets; the cap is {SUBSET_FAMILY_LIMIT}"
         )
-    table = build_branch_table(rads)
     degrees = [b.degree for b in table.basis]
     rows = table.parity_masks(include_infinity=False)
     for size in range(1, m + 1):
@@ -208,9 +206,10 @@ def scan_trial_outcome(radicands: Sequence[RatFunc | UPoly]) -> dict:
     The proven direction (rationalizable implies the criterion passes) is
     enforced as a hard assertion; a violation would be a bug, not data.
     """
-    rads = _as_ratfunc_family(radicands)
-    verdict = decide_set(rads, attach_witness=False)
-    passes, failing = subset_criterion(rads)
+    table = build_branch_table(radicands)
+    rads = table.radicands
+    verdict = decide_set_table(table, attach_witness=False)
+    passes, failing = subset_criterion_table(table)
     if verdict.status == RATIONALIZABLE and not passes:
         raise RuntimeError(
             "proven direction violated: rationalizable family failed the "

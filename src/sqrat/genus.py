@@ -23,7 +23,7 @@ this module treats as ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -43,11 +43,14 @@ class CoverSpec:
 
     f must not be an e'-th power in C(x) for any e' > 1 dividing e, so that
     the cover is irreducible; constants are invisible over C, so the check
-    is that the gcd of all valuations of f is coprime to e.
+    is that the gcd of all valuations of f is coprime to e.  The valuations
+    are read once, from one branch table, and kept for cyclic_cover_genus.
     """
 
     radicand: RatFunc
     order: int
+    _valuations: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rad = self.radicand
@@ -60,7 +63,10 @@ class CoverSpec:
             raise ZeroRadicandError("zero radicand in cover")
         if not isinstance(self.order, int) or self.order < 2:
             raise ValueError("root order must be an integer >= 2")
-        vals = _valuations(rad)
+        table = build_branch_table([rad])
+        vals = tuple(zip((b.degree for b in table.basis), table.exponents[0]))
+        vals += ((1, -(rad.num.degree - rad.den.degree)),)  # place at infinity
+        object.__setattr__(self, "_valuations", vals)
         common = 0
         for _, v in vals:
             common = gcd(common, v)
@@ -71,16 +77,7 @@ class CoverSpec:
 
     def valuations(self) -> list[tuple[int, int]]:
         """(number of points, valuation) pairs over all places of P^1."""
-        return _valuations(self.radicand)
-
-
-def _valuations(f: RatFunc) -> list[tuple[int, int]]:
-    table = build_branch_table([f])
-    out = []
-    for j, b in enumerate(table.basis):
-        out.append((b.degree, table.exponents[0][j]))
-    out.append((1, -(f.num.degree - f.den.degree)))  # place at infinity
-    return out
+        return list(self._valuations)
 
 
 def multiquadratic_genus(radicands: Sequence[RatFunc | UPoly]) -> int:

@@ -13,6 +13,10 @@ at infinity (parity of deg num - deg den).  Rank of the parity matrix is
 log2 of the degree of the compositum field; a basis element is a branch
 locus of the compositum cover iff its parity column is nonzero, and the
 total number of geometric branch points feeds Riemann-Hurwitz downstream.
+
+A request builds its table once: the same table serves the genus verdict,
+the subset criterion and the reduced generators, and one GF(2) elimination
+(gf2_eliminate) gives the rank, the reduced rows and the first dependency.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import EmptyFamilyError, ZeroRadicandError
-from .poly import RatFunc, UPoly, coprime_basis, multiplicity, square_class
+from .poly import RatFunc, UPoly, coprime_basis, square_class
 
 
 @dataclass(frozen=True)
@@ -83,26 +87,22 @@ def build_branch_table(radicands: Sequence[RatFunc | UPoly]) -> BranchTable:
     """Compute the branch table of a nonempty family of nonzero radicands.
 
     Radicands with trivial square class contribute an all-zero parity row.
+    Exponent rows come from the coprime basis's own exponent matrix: the
+    numerator's row minus the denominator's row.
     """
     rads = _coerce_radicands(radicands)
-    support = []
-    for f in rads:
-        if not f.num.is_constant:
-            support.append(f.num)
-        if not f.den.is_constant:
-            support.append(f.den)
-    if support:
-        basis, _ = coprime_basis(support)
-    else:
-        basis = []
+    support = [p for f in rads for p in (f.num, f.den) if not p.is_constant]
+    basis, support_rows = coprime_basis(support)
+    rows = iter(support_rows)
+    zero = [0] * len(basis)
     exponents = []
     parity = []
     for f in rads:
-        row = []
-        for b in basis:
-            row.append(multiplicity(f.num, b) - multiplicity(f.den, b))
+        num_row = zero if f.num.is_constant else next(rows)
+        den_row = zero if f.den.is_constant else next(rows)
+        row = tuple(a - b for a, b in zip(num_row, den_row))
         inf_parity = (f.num.degree - f.den.degree) % 2
-        exponents.append(tuple(row))
+        exponents.append(row)
         parity.append(tuple(e % 2 for e in row) + (inf_parity,))
     return BranchTable(
         radicands=tuple(rads),
@@ -112,19 +112,34 @@ def build_branch_table(radicands: Sequence[RatFunc | UPoly]) -> BranchTable:
     )
 
 
+def gf2_eliminate(table: BranchTable) -> tuple[list[tuple[int, int]], int | None]:
+    """Row-echelon reduction of the parity matrix over GF(2).
+
+    Rows are processed in input order; each is reduced against the pivots
+    found so far, a pivot's column being its lowest set bit (infinity
+    column last).  Returns the (input_mask, reduced_row_mask) pairs in the
+    order the pivots were found, and the input_mask of the first row that
+    reduces to zero (None if the rows are independent); an input_mask
+    records which input rows were XORed.
+    """
+    pivots: list[tuple[int, int, int]] = []  # (pivot_bit, row_mask, input_mask)
+    dependent = None
+    for i, mask in enumerate(table.parity_masks()):
+        combo = 1 << i
+        for bit, row, src in pivots:
+            if mask & bit:
+                mask ^= row
+                combo ^= src
+        if mask:
+            pivots.append((mask & -mask, mask, combo))
+        elif dependent is None:
+            dependent = combo
+    return [(src, row) for _, row, src in pivots], dependent
+
+
 def lattice_rank(table: BranchTable) -> int:
     """Rank of the parity matrix over GF(2); 2^rank is the compositum degree."""
-    rank = 0
-    pivots: list[int] = []
-    for mask in table.parity_masks():
-        for p in pivots:
-            low = p & -p
-            if mask & low:
-                mask ^= p
-        if mask:
-            pivots.append(mask)
-            rank += 1
-    return rank
+    return len(gf2_eliminate(table)[0])
 
 
 def branch_count(table: BranchTable) -> LatticeSummary:
@@ -156,29 +171,6 @@ def branch_count(table: BranchTable) -> LatticeSummary:
     return summary
 
 
-def _reduced_rows(table: BranchTable) -> list[tuple[int, int]]:
-    """Row-echelon reduction of the parity matrix over GF(2).
-
-    Rows are processed in input order; each surviving row is reduced against
-    the pivots found so far, pivot columns chosen left to right (infinity
-    column last).  Returns (input_mask, reduced_row_mask) pairs in the order
-    the pivots were found; input_mask records which input rows were XORed.
-    """
-    pivots: list[tuple[int, int, int]] = []  # (pivot_bit, row_mask, input_mask)
-    out: list[tuple[int, int]] = []
-    for i, mask in enumerate(table.parity_masks()):
-        combo = 1 << i
-        for bit, row, src in pivots:
-            if mask & bit:
-                mask ^= row
-                combo ^= src
-        if mask:
-            bit = mask & -mask
-            pivots.append((bit, mask, combo))
-            out.append((combo, mask))
-    return out
-
-
 def reduced_generators(table: BranchTable) -> list[UPoly]:
     """Monic class representatives of a GF(2) basis of the lattice.
 
@@ -187,7 +179,7 @@ def reduced_generators(table: BranchTable) -> list[UPoly]:
     their pivots were found.
     """
     gens = []
-    for _, row_mask in _reduced_rows(table):
+    for _, row_mask in gf2_eliminate(table)[0]:
         g = UPoly.one()
         for j, b in enumerate(table.basis):
             if row_mask & (1 << j):
@@ -206,7 +198,7 @@ def reduced_generators_scaled(table: BranchTable) -> list[UPoly]:
     radicands' own scaling (e.g. 4x+1 rather than its monic class x+1/4).
     """
     gens = []
-    for input_mask, _ in _reduced_rows(table):
+    for input_mask, _ in gf2_eliminate(table)[0]:
         prod = RatFunc(1)
         for i, f in enumerate(table.radicands):
             if input_mask & (1 << i):

@@ -297,10 +297,11 @@ class RatFunc:
             self._num = UPoly.zero()
             self._den = UPoly.one()
             return
-        g = poly_gcd(n, d)
-        if not g.is_one:
-            n = n.exact_div(g)
-            d = d.exact_div(g)
+        if not d.is_constant:  # a nonzero constant denominator has gcd 1
+            g = poly_gcd(n, d)
+            if not g.is_one:
+                n = n.exact_div(g)
+                d = d.exact_div(g)
         lead = d.leading
         if lead != 1:
             n = n / lead

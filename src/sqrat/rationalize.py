@@ -15,7 +15,10 @@ Constants are squares over C but not always over Q; such leftovers are
 recorded as constant defects on the witness, never silently accepted.
 
 The module also computes the minimal polynomial of the sum of the square
-roots of independent generators by iterated Sylvester resultants.
+roots of independent generators by iterated resultants with the quadratics
+y^2 - f_i, each taken as the norm a^2 - f_i*b^2 of the reduction of
+p(z - y) modulo y^2 - f_i (resultant_with_quadratic); no Sylvester matrix
+is formed.
 """
 
 from __future__ import annotations
@@ -27,14 +30,13 @@ from typing import Sequence
 from .errors import (
     DegenerateSumError,
     DependentGeneratorsError,
-    EmptyFamilyError,
     NoRationalPointFoundError,
     WrongDegreeError,
-    ZeroRadicandError,
 )
 from .lattice import (
+    _coerce_radicands,
     build_branch_table,
-    lattice_rank,
+    gf2_eliminate,
     reduced_generators_scaled,
 )
 from .poly import (
@@ -180,7 +182,7 @@ def greedy_rationalize(radicands: Sequence[RatFunc | UPoly]) -> Witness | None:
     if that does not help, or a conic step finds no rational point, gives
     up.  A returned witness has been verified symbolically.
     """
-    rads = _validated(radicands)
+    rads = _coerce_radicands(radicands)
     phi = RatFunc.x()
     targets = list(rads)
     reduced_already = False
@@ -236,7 +238,7 @@ def verify_witness(radicands: Sequence[RatFunc | UPoly],
     pairs, marking the witness as valid over C only.  No exceptions: this
     is a verification result.
     """
-    rads = _validated(radicands)
+    rads = _coerce_radicands(radicands)
     if len(rads) != len(witness.roots):
         return False, []
     defects: list[tuple[int, Fraction]] = []
@@ -254,19 +256,6 @@ def verify_witness(radicands: Sequence[RatFunc | UPoly],
         if d != 1:
             defects.append((i, d))
     return True, defects
-
-
-def _validated(radicands: Sequence[RatFunc | UPoly]) -> list[RatFunc]:
-    if len(radicands) == 0:
-        raise EmptyFamilyError("the radicand family is empty")
-    out = []
-    for f in radicands:
-        if isinstance(f, UPoly):
-            f = RatFunc(f)
-        if f.is_zero:
-            raise ZeroRadicandError("zero radicand in the family")
-        out.append(f)
-    return out
 
 
 # -- primitive element minimal polynomial ------------------------------------
@@ -294,7 +283,7 @@ def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
     roots over all sign choices, and is rejected if two sign choices
     collide (a degenerate primitive element).
     """
-    rads = _validated(generators)
+    rads = _coerce_radicands(generators)
     polys: list[UPoly] = []
     for f in rads:
         if f.den.is_one:
@@ -302,13 +291,12 @@ def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
         else:
             cleared, _ = clear_denominators_monic([-f, RatFunc(0), RatFunc(1)])
             polys.append(-cleared[0])
-    table = build_branch_table(polys)
-    rank = lattice_rank(table)
-    if rank < len(polys):
-        relation = _dependency_relation(table)
+    _, dependent = gf2_eliminate(build_branch_table(polys))
+    if dependent is not None:
+        relation = [j for j in range(len(polys)) if dependent & (1 << j)]
         raise DependentGeneratorsError(
             "generators are dependent modulo squares"
-            + (f" (relation among indices {relation})" if relation else ""),
+            f" (relation among indices {relation})",
             relation=relation,
         )
     p: ZPoly = zpoly([-polys[0], UPoly.zero(), UPoly.one()])
@@ -321,19 +309,3 @@ def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
             "distinct sign combinations of the square roots collide"
         )
     return MinPoly(poly=p, generators=tuple(rads))
-
-
-def _dependency_relation(table) -> list[int] | None:
-    """Indices of input rows whose classes multiply to a square, if any."""
-    pivots: list[tuple[int, int, int]] = []
-    for i, mask in enumerate(table.parity_masks()):
-        combo = 1 << i
-        for bit, row, src in pivots:
-            if mask & bit:
-                mask ^= row
-                combo ^= src
-        if mask:
-            pivots.append((mask & -mask, mask, combo))
-        else:
-            return [j for j in range(table.family_size) if combo & (1 << j)]
-    return None

@@ -3,9 +3,12 @@
 The objects here are polynomials in an auxiliary variable z whose
 coefficients live in Q[x] ("ZPoly", a tuple of UPoly, constant term first),
 and bivariate polynomials in (z, y) represented as tuples over the y-degree
-of ZPoly coefficients.  The resultant eliminating y is the exact Sylvester
-matrix determinant, computed by fraction-free Bareiss elimination; every
-intermediate division is exact in Q[x][z] and is checked.
+of ZPoly coefficients.  Minimal polynomials eliminate y from p(z - y) and
+y^2 - f with resultant_with_quadratic: the norm a^2 - f*b^2 of p(z - y)
+reduced modulo y^2 - f.  The general Sylvester determinant (resultant,
+by fraction-free Bareiss elimination with every division checked exact)
+is on no library path; tests/test_resultants.py uses it as the oracle for
+resultant_with_quadratic.
 
 Degrees in this library stay small (the minimal polynomial of m square
 roots has z-degree 2^m), so the dense representation is fine.

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_factored_poly, random_poly
+from conftest import random_factored_poly, random_poly, small_fractions, upolys
 from sqrat.errors import EmptyFamilyError, ZeroRadicandError
 from sqrat.lattice import (
     branch_count,
@@ -13,7 +15,7 @@ from sqrat.lattice import (
     reduced_generators,
     reduced_generators_scaled,
 )
-from sqrat.poly import RatFunc, UPoly
+from sqrat.poly import RatFunc, UPoly, multiplicity
 
 X = UPoly.x()
 
@@ -49,6 +51,36 @@ class TestBuildBranchTable:
             table_of(RatFunc(0))
         with pytest.raises(EmptyFamilyError):
             build_branch_table([])
+
+
+@st.composite
+def factored_families(draw):
+    """Families over a small shared factor pool, with repeated factors,
+    nontrivial denominators and constant radicands."""
+    pool = draw(st.lists(upolys(2, nonzero=True), min_size=1, max_size=3))
+    family = []
+    for _ in range(draw(st.integers(1, 4))):
+        num = UPoly.constant(draw(small_fractions.filter(bool)))
+        den = UPoly.one()
+        for _ in range(draw(st.integers(0, 3))):
+            factor = pool[draw(st.integers(0, len(pool) - 1))]
+            power = factor ** draw(st.integers(1, 3))
+            if draw(st.booleans()):
+                num = num * power
+            else:
+                den = den * power
+        family.append(RatFunc(num, den))
+    return family
+
+
+class TestExponentRows:
+    @given(family=factored_families())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_multiplicities(self, family):
+        t = build_branch_table(family)
+        for f, row in zip(t.radicands, t.exponents):
+            assert row == tuple(multiplicity(f.num, b) - multiplicity(f.den, b)
+                                for b in t.basis)
 
 
 class TestRankAndBranches:
