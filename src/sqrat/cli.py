@@ -28,7 +28,7 @@ from .decide import (
     subset_criterion_table,
 )
 from .errors import SqratError
-from .genus import CoverSpec, cyclic_cover_genus, multiquadratic_genus_table
+from .genus import CoverSpec, cyclic_cover_genus, multiquadratic_genus_summary
 from .lattice import branch_count, build_branch_table, reduced_generators_scaled
 from .parsing import RadicandSpec, parse_expr, parse_radicand_file
 from .poly import RatFunc
@@ -164,7 +164,7 @@ def cmd_genus(args) -> int:
         return 0
     table = build_branch_table([s.expr for s in specs])
     summary = branch_count(table)
-    g = multiquadratic_genus_table(table)
+    g = multiquadratic_genus_summary(summary)
     report.update(genus=g, rank=summary.rank,
                   branch_count=summary.branch_count)
     _emit(report, [

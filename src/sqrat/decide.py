@@ -33,7 +33,7 @@ from .genus import (
     CoverSpec,
     cyclic_cover_genus,
     hyperelliptic_genus,
-    multiquadratic_genus_table,
+    multiquadratic_genus_summary,
 )
 from .lattice import (
     BranchTable,
@@ -104,7 +104,7 @@ def decide_set(radicands: Sequence[RatFunc | UPoly],
 def decide_set_table(table: BranchTable, attach_witness: bool = True) -> Verdict:
     """Same as decide_set, from a prebuilt branch table."""
     summary = branch_count(table)
-    g = multiquadratic_genus_table(table)
+    g = multiquadratic_genus_summary(summary)
     if g == 0:
         witness = greedy_rationalize(table.radicands) if attach_witness else None
         return Verdict(status=RATIONALIZABLE, genus=0, rank=summary.rank,
@@ -122,17 +122,23 @@ def subset_criterion(radicands: Sequence[RatFunc | UPoly]
     multiply by XOR of parity rows, so the check runs on the branch table
     without forming any products.
     """
-    return subset_criterion_table(build_branch_table(radicands))
+    rads = _coerce_radicands(radicands)
+    _check_subset_family_size(len(rads))
+    return subset_criterion_table(build_branch_table(rads))
+
+
+def _check_subset_family_size(m: int) -> None:
+    if m > SUBSET_FAMILY_LIMIT:
+        raise FamilyTooLargeError(
+            f"{m} radicands means 2^{m} subsets; the cap is {SUBSET_FAMILY_LIMIT}"
+        )
 
 
 def subset_criterion_table(table: BranchTable
                            ) -> tuple[bool, Optional[list[int]]]:
     """Same as subset_criterion, from a prebuilt branch table."""
     m = table.family_size
-    if m > SUBSET_FAMILY_LIMIT:
-        raise FamilyTooLargeError(
-            f"{m} radicands means 2^{m} subsets; the cap is {SUBSET_FAMILY_LIMIT}"
-        )
+    _check_subset_family_size(m)
     degrees = [b.degree for b in table.basis]
     rows = table.parity_masks(include_infinity=False)
     for size in range(1, m + 1):

@@ -33,7 +33,7 @@ from .errors import (
     ReduciblePowerError,
     ZeroRadicandError,
 )
-from .lattice import BranchTable, branch_count, build_branch_table
+from .lattice import BranchTable, LatticeSummary, branch_count, build_branch_table
 from .poly import RatFunc, UPoly, squarefree_part
 
 
@@ -87,7 +87,11 @@ def multiquadratic_genus(radicands: Sequence[RatFunc | UPoly]) -> int:
 
 def multiquadratic_genus_table(table: BranchTable) -> int:
     """Same as multiquadratic_genus, from a prebuilt branch table."""
-    summary = branch_count(table)
+    return multiquadratic_genus_summary(branch_count(table))
+
+
+def multiquadratic_genus_summary(summary: LatticeSummary) -> int:
+    """Riemann-Hurwitz for the (Z/2)^rank cover with the summary's branch points."""
     r, b = summary.rank, summary.branch_count
     if r == 0:
         return 0

@@ -4,7 +4,9 @@ A polynomial is a dense tuple of `fractions.Fraction` coefficients in one
 distinguished variable, constant term first, with no trailing zeros.  The
 degree of the zero polynomial is the sentinel None, never -1.  A rational
 function keeps numerator and denominator coprime with a monic denominator,
-so equality is structural.
+so equality is structural.  Products use Kronecker substitution: each
+operand, scaled to integer coefficients, is packed into one Python int, so
+a single big-integer product (Karatsuba in CPython) does the work.
 
 On top of the ring arithmetic this module provides the square-theoretic
 toolbox the rest of the library is built on:
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ConstantSubstitutionError, ZeroInputError
@@ -165,13 +167,19 @@ class UPoly:
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return UPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return UPoly(out)
+        da, ia = _integer_numerators(a)
+        db, ib = (da, ia) if b is a else _integer_numerators(b)
+        # slot bytes: the top bit of a slot holds the sign of the largest
+        # possible product coefficient, min(len) * max|ia| * max|ib|
+        width = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
+                 + min(len(a), len(b)).bit_length()) // 8 + 1
+        pa = _pack(ia, width)
+        pb = pa if b is a else _pack(ib, width)
+        den = da * db
+        out = UPoly.__new__(UPoly)  # nonzero leading coefficient: no trimming
+        out._coeffs = tuple([Fraction(c, den) for c in
+                             _unpack(pa * pb, width, len(a) + len(b) - 1)])
+        return out
 
     __rmul__ = __mul__
 
@@ -192,8 +200,9 @@ class UPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other) -> tuple[UPoly, UPoly]:
@@ -271,6 +280,42 @@ class UPoly:
 
     def __repr__(self) -> str:
         return f"UPoly[{self.to_str()}]"
+
+
+def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """(d, [d*c for c in cs]) with d the least common denominator."""
+    den = lcm(*[c.denominator for c in cs])
+    return den, [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _pack(ints: list[int], width: int) -> int:
+    """Value at 2^(8*width) of the integer polynomial ints, built from bytes.
+
+    Each coefficient fills one width-byte slot of either the positive or
+    the negative part, so packing is linear in the output size, unlike
+    shift-and-add accumulation.
+    """
+    zero = bytes(width)
+    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in ints])
+    neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in ints])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, width: int, n: int) -> list[int]:
+    """Inverse of _pack for n signed slots below 2^(8*width-1) in size.
+
+    A slot that reads as negative borrows one from the slot above it, which
+    the signed carry gives back.
+    """
+    raw = memoryview(value.to_bytes(n * width, "little", signed=True))
+    half = 1 << (8 * width - 1)
+    out = []
+    carry = 0
+    for k in range(0, n * width, width):
+        c = int.from_bytes(raw[k:k + width], "little") + carry
+        carry = c >= half
+        out.append(c - (half << 1) if carry else c)
+    return out
 
 
 def _coerce_upoly(value) -> UPoly | None:
@@ -440,7 +485,11 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
 
 
 def multiplicity(f: UPoly, b: UPoly) -> int:
-    """Largest k with b^k dividing f; f nonzero, b nonconstant."""
+    """Largest k with b^k dividing f; f nonzero, b nonconstant.
+
+    No library path needs it (coprime_basis tracks its exponents); the
+    tests use it as the reference for those exponents.
+    """
     if f.is_zero:
         raise ZeroInputError("multiplicity in the zero polynomial")
     if b.is_constant:
@@ -552,45 +601,55 @@ def coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
     Returns (basis, exponents) with the basis monic, squarefree, pairwise
     coprime, of degree >= 1, sorted by (degree, coefficients), and
     fs[i] = c_i * prod_j basis[j] ** exponents[i][j] for nonzero rational
-    constants c_i.  The reconstruction is verified exactly.
+    constants c_i.
+
+    Exponents are tracked through the refinement rather than recomputed:
+    each element carries its exponent in every f, an element that splits
+    passes that row to both halves, the gcd with a squarefree part of
+    multiplicity i in f adds i to its entry for f, and a leftover part
+    starts a new row.  The exact reconstruction of every f verifies them.
     """
     polys = list(fs)
     for f in polys:
         if f is None or f.is_zero:
             raise ZeroInputError("coprime basis of a family containing zero")
-    basis: list[UPoly] = []
-    for f in polys:
+    basis: list[tuple[UPoly, list[int]]] = []  # (element, exponent in each f)
+    for k, f in enumerate(polys):
         if f.is_constant:
             continue
         # refine with each squarefree part separately: parts group the
         # factors of f by multiplicity, so every final basis element has a
         # single well-defined multiplicity in f
-        for part, _ in squarefree_decompose(f).parts:
+        for part, i in squarefree_decompose(f).parts:
             rest = part
-            refined: list[UPoly] = []
-            for b in basis:
+            refined: list[tuple[UPoly, list[int]]] = []
+            for b, row in basis:
                 d = poly_gcd(b, rest)
                 if d.is_constant:
-                    refined.append(b)
+                    refined.append((b, row))
                     continue
                 b_left = b.exact_div(d)
                 if not b_left.is_constant:
-                    refined.append(b_left)
-                refined.append(d)
+                    refined.append((b_left, row))
+                d_row = row.copy()
+                d_row[k] += i
+                refined.append((d, d_row))
                 rest = rest.exact_div(d)
             if not rest.is_constant:
-                refined.append(rest)
+                row = [0] * len(polys)
+                row[k] = i
+                refined.append((rest, row))
             basis = refined
-    basis.sort(key=UPoly.sort_key)
-    exponents = [[multiplicity(f, b) for b in basis] for f in polys]
-    for f, row in zip(polys, exponents):
+    basis.sort(key=lambda element: element[0].sort_key())
+    exponents = [[row[k] for _, row in basis] for k in range(len(polys))]
+    for f, exps in zip(polys, exponents):
         prod = UPoly.one()
-        for b, e in zip(basis, row):
+        for (b, _), e in zip(basis, exps):
             prod = prod * b ** e
         q, r = divmod(f, prod)
         if r or not q.is_constant or q.is_zero:
             raise RuntimeError("coprime basis reconstruction failed")
-    return basis, exponents
+    return [b for b, _ in basis], exponents
 
 
 # -- substitution and square testing -----------------------------------------

@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroInputError
-from .poly import RatFunc, UPoly, coprime_basis, multiplicity, poly_gcd
+from .poly import RatFunc, UPoly, coprime_basis, poly_gcd
 
 ZPoly = tuple[UPoly, ...]
 BiPoly = tuple[ZPoly, ...]
@@ -85,8 +85,9 @@ def zp_pow(a: ZPoly, n: int) -> ZPoly:
     while n:
         if n & 1:
             out = zp_mul(out, a)
-        a = zp_mul(a, a)
         n >>= 1
+        if n:
+            a = zp_mul(a, a)
     return out
 
 
@@ -336,20 +337,14 @@ def clear_denominators_monic(coeffs: Sequence[RatFunc]) -> tuple[ZPoly, UPoly]:
     n = len(cs) - 1
     if not (cs[-1].is_constant and cs[-1].as_fraction == 1):
         raise ValueError("input polynomial must be monic in z")
-    dens = [c.den for c in cs[:n] if not c.den.is_one]
-    if not dens:
+    cleared = [i for i, c in enumerate(cs[:n]) if not c.den.is_one]
+    if not cleared:
         return zpoly([c.num for c in cs]), UPoly.one()
-    basis, _ = coprime_basis(dens)
+    basis, rows = coprime_basis([cs[i].den for i in cleared])
     u = UPoly.one()
     for j, base in enumerate(basis):
-        need = 0
-        for i, c in enumerate(cs[:n]):
-            if c.den.is_one:
-                continue
-            d_ij = multiplicity(c.den, base)
-            if d_ij:
-                # smallest k with k*(n-i) >= d_ij
-                need = max(need, -(-d_ij // (n - i)))
+        # smallest k with k*(n-i) >= d_ij for every i, d_ij = v_base(den c_i)
+        need = max(-(-row[j] // (n - i)) for i, row in zip(cleared, rows))
         u = u * base ** need
     out = []
     for i, c in enumerate(cs):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_factored_poly, random_poly
+from sqrat import decide
 from sqrat.decide import (
     NOT_RATIONALIZABLE,
     RATIONALIZABLE,
@@ -147,6 +148,22 @@ class TestSubsetCriterion:
     def test_family_cap(self):
         with pytest.raises(FamilyTooLargeError):
             subset_criterion([RatFunc(X - i) for i in range(21)])
+
+    def test_family_cap_checked_before_the_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(decide, "build_branch_table",
+                            lambda rads: built.append(rads))
+        family = [RatFunc(X - i) for i in range(21)]
+        with pytest.raises(FamilyTooLargeError):
+            subset_criterion(family)
+        # malformed families are rejected for what is wrong with them first
+        with pytest.raises(EmptyFamilyError):
+            subset_criterion([])
+        with pytest.raises(ZeroRadicandError):
+            subset_criterion(family + [RatFunc(0)])
+        with pytest.raises(TypeError):
+            subset_criterion(family + ["x"])
+        assert built == []
 
     def test_matches_naive_product_enumeration(self):
         rng = random.Random(18)

@@ -16,6 +16,7 @@ from sqrat.poly import (
     UPoly,
     coprime_basis,
     is_square,
+    multiplicity,
     poly_gcd,
     radical,
     square_class,
@@ -174,6 +175,29 @@ class TestCoprimeBasis:
                 for j in range(i + 1, len(basis)):
                     assert poly_gcd(basis[i], basis[j]).is_one
             self._check_reconstruction(fs, basis, exps)
+
+    @pytest.mark.parametrize("fs", [
+        [(X + 1) ** 60 * (X + 2) ** 3 * (X**2 + 1) ** 5],
+        # later members split earlier elements: x^2 - 1, then x^4 - 1
+        [X * (X**2 - 1) ** 3, (X - 1) ** 2 * (X + 3), (X + 1) ** 7 * (X + 3) ** 4],
+        [(X**4 - 1) ** 2, (X**2 - 1) ** 5, UPoly.constant(7), (X - 1) ** 11],
+    ])
+    def test_exponents_match_multiplicity(self, fs):
+        basis, exps = coprime_basis(fs)
+        assert exps == [[multiplicity(f, b) for b in basis] for f in fs]
+
+    def test_exponents_match_multiplicity_random(self):
+        rng = random.Random(91)
+        pool = [X, X + 1, X - 2, X**2 + 1, X**2 - 3, X**2 + X + 1]
+        for _ in range(40):
+            fs = []
+            for _ in range(rng.randint(1, 4)):
+                f = UPoly.constant(rng.choice([1, -2, Fraction(3, 5)]))
+                for b in rng.sample(pool, rng.randint(1, 4)):
+                    f = f * b ** rng.randint(1, 12)
+                fs.append(f)
+            basis, exps = coprime_basis(fs)
+            assert exps == [[multiplicity(f, b) for b in basis] for f in fs]
 
     @staticmethod
     def _check_reconstruction(fs, basis, exps):
