@@ -64,6 +64,7 @@ from .poly import (
     SquareOverQ,
     UPoly,
     coprime_basis,
+    gcd_cofactors,
     is_square,
     poly_gcd,
     square_class,
@@ -80,7 +81,7 @@ from .rationalize import (
     rationalize_linear,
     verify_witness,
 )
-from .resultants import clear_denominators_monic, resultant, zp_to_str, zpoly
+from .resultants import clear_denominators_monic, zp_to_str, zpoly
 
 __all__ = [
     "BranchTable",
@@ -111,6 +112,7 @@ __all__ = [
     "decide_set",
     "decide_single_root",
     "decide_single_sqrt",
+    "gcd_cofactors",
     "greedy_rationalize",
     "hyperelliptic_genus",
     "is_square",
@@ -124,7 +126,6 @@ __all__ = [
     "rationalize_linear",
     "reduced_generators",
     "reduced_generators_scaled",
-    "resultant",
     "scan_trial_outcome",
     "square_class",
     "squarefree_decompose",

@@ -10,7 +10,8 @@ Grammar (standard precedence, ^ binds tightest and right-associatively):
 
 Integers are arbitrary precision; rationals are written with "/" (so 1/2
 is ordinary division).  The exponent of ^ must evaluate to a nonnegative
-integer constant.  Only the variable x is accepted: any other name is
+integer constant.  Parentheses, unary minus and exponents nest at most
+MAX_NESTING deep.  Only the variable x is accepted: any other name is
 rejected with an error naming multivariate input as out of scope.  Every
 input either parses to a value or raises a structured ParseError carrying
 the character position; the parser never dies on arbitrary bytes.
@@ -37,6 +38,7 @@ from .errors import (
 from .poly import RatFunc, UPoly
 
 MAX_EXPONENT = 4096
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^]))")
 _ROOT_PREFIX_RE = re.compile(r"^root\[(\d+)\]\s*:\s*(.*)$")
@@ -78,6 +80,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> Token | None:
         if self.index < len(self.tokens):
@@ -133,11 +136,21 @@ class _Parser:
         return value
 
     def unary(self) -> RatFunc:
+        # every nested construct ("(", unary "-", the exponent of "^")
+        # recurses through here, so this bounds the recursion depth
         tok = self.peek()
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested too deeply (limit {MAX_NESTING})",
+                position=tok.position if tok else len(self.text))
+        self.depth += 1
         if tok is not None and tok.kind == "-":
             self.advance()
-            return -self.unary()
-        return self.power()
+            value = -self.unary()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
 
     def power(self) -> RatFunc:
         base = self.atom()

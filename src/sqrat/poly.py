@@ -6,12 +6,18 @@ degree of the zero polynomial is the sentinel None, never -1.  A rational
 function keeps numerator and denominator coprime with a monic denominator,
 so equality is structural.  Products use Kronecker substitution: each
 operand, scaled to integer coefficients, is packed into one Python int, so
-a single big-integer product (Karatsuba in CPython) does the work.
+a single big-integer product (Karatsuba in CPython) does the work.  The gcd
+works on integers too: the heuristic GCD of Char, Geddes & Gonnet (1989)
+evaluates the primitive integer numerators at a large power of two, takes
+one integer gcd and reads the gcd and both cofactors off its digits,
+accepting them only when the products check exactly; the Euclidean
+algorithm over Q is the fallback.
 
 On top of the ring arithmetic this module provides the square-theoretic
 toolbox the rest of the library is built on:
 
-  * gcd and squarefree decomposition (Yun's algorithm, characteristic 0);
+  * gcd with cofactors and squarefree decomposition (Yun's algorithm,
+    characteristic 0);
   * square classes modulo (Q(x)*)^2: every nonzero f factors uniquely as
     c * g * h^2 with c a rational constant, g monic squarefree and h a
     rational function with monic numerator and denominator;
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ConstantSubstitutionError, ZeroInputError
@@ -169,17 +175,8 @@ class UPoly:
             return UPoly()
         da, ia = _integer_numerators(a)
         db, ib = (da, ia) if b is a else _integer_numerators(b)
-        # slot bytes: the top bit of a slot holds the sign of the largest
-        # possible product coefficient, min(len) * max|ia| * max|ib|
-        width = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
-                 + min(len(a), len(b)).bit_length()) // 8 + 1
-        pa = _pack(ia, width)
-        pb = pa if b is a else _pack(ib, width)
         den = da * db
-        out = UPoly.__new__(UPoly)  # nonzero leading coefficient: no trimming
-        out._coeffs = tuple([Fraction(c, den) for c in
-                             _unpack(pa * pb, width, len(a) + len(b) - 1)])
-        return out
+        return _upoly([Fraction(c, den) for c in _int_mul(ia, ib)])
 
     __rmul__ = __mul__
 
@@ -282,6 +279,13 @@ class UPoly:
         return f"UPoly[{self.to_str()}]"
 
 
+def _upoly(coeffs: list[Fraction]) -> UPoly:
+    """UPoly of Fractions whose last entry is nonzero: no conversion or trimming."""
+    out = UPoly.__new__(UPoly)
+    out._coeffs = tuple(coeffs)
+    return out
+
+
 def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
     """(d, [d*c for c in cs]) with d the least common denominator."""
     den = lcm(*[c.denominator for c in cs])
@@ -301,6 +305,17 @@ def _pack(ints: list[int], width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
+    """Product of two nonzero integer polynomials by Kronecker substitution."""
+    # slot bytes: the top bit of a slot holds the sign of the largest
+    # possible product coefficient, min(len) * max|ia| * max|ib|
+    width = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
+             + min(len(ia), len(ib)).bit_length()) // 8 + 1
+    pa = _pack(ia, width)
+    pb = pa if ib is ia else _pack(ib, width)
+    return _unpack(pa * pb, width, len(ia) + len(ib) - 1)
+
+
 def _unpack(value: int, width: int, n: int) -> list[int]:
     """Inverse of _pack for n signed slots below 2^(8*width-1) in size.
 
@@ -315,6 +330,14 @@ def _unpack(value: int, width: int, n: int) -> list[int]:
         c = int.from_bytes(raw[k:k + width], "little") + carry
         carry = c >= half
         out.append(c - (half << 1) if carry else c)
+    return out
+
+
+def _digits(value: int, width: int) -> list[int]:
+    """Symmetric base-2^(8*width) digits of value, lowest first, no trailing zeros."""
+    out = _unpack(value, width, abs(value).bit_length() // (8 * width) + 2)
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -343,10 +366,7 @@ class RatFunc:
             self._den = UPoly.one()
             return
         if not d.is_constant:  # a nonzero constant denominator has gcd 1
-            g = poly_gcd(n, d)
-            if not g.is_one:
-                n = n.exact_div(g)
-                d = d.exact_div(g)
+            _, n, d = gcd_cofactors(n, d)
         lead = d.leading
         if lead != 1:
             n = n / lead
@@ -476,12 +496,93 @@ def _coerce_ratfunc(value) -> RatFunc | None:
 # -- gcd and squarefree structure ------------------------------------------
 
 
+HEURISTIC_GCD_TRIES = 6
+
+
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while b:
-        r = a % b
-        a, b = b, (r.monic() if r else r)
-    return a.monic() if a else UPoly.zero()
+    return gcd_cofactors(a, b)[0]
+
+
+def gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
+    """(g, a/g, b/g) with g the monic gcd of a and b; gcd(0, 0) = (0, 0, 0).
+
+    Heuristic GCD (Char, Geddes & Gonnet 1989) on the primitive integer
+    numerators f and g of a and b; falls back to the Euclidean algorithm
+    over Q when HEURISTIC_GCD_TRIES evaluation points all fail.
+    """
+    if a.is_constant or b.is_constant:  # includes zero: at most one step
+        if a and b:
+            return UPoly.one(), a, b
+        return _euclid_gcd_cofactors(a, b)
+    sa, f = _primitive(a.coeffs)
+    sb, g = _primitive(b.coeffs)
+    found = _heuristic_gcd(f, g)
+    if found is None:
+        return _euclid_gcd_cofactors(a, b)
+    h, cf, cg = found
+    if len(h) == 1:  # h == [1]: coprime, the cofactors are a and b
+        return UPoly.one(), a, b
+    lead = h[-1]
+    # a = sa*f = sa*h*cf, so a / (h/lead) = sa*lead*cf, and likewise for b
+    return (_upoly([Fraction(c, lead) for c in h]),
+            _scaled(sa * lead, cf), _scaled(sb * lead, cg))
+
+
+def _primitive(cs: tuple[Fraction, ...]) -> tuple[Fraction, list[int]]:
+    """(s, f) with cs = s*f and f a primitive integer coefficient list."""
+    den, ints = _integer_numerators(cs)
+    content = gcd(*ints)
+    return Fraction(content, den), [c // content for c in ints]
+
+
+def _scaled(s: Fraction, ints: list[int]) -> UPoly:
+    num, den = s.numerator, s.denominator
+    return _upoly([Fraction(num * c, den) for c in ints])
+
+
+def _heuristic_gcd(f: list[int], g: list[int]):
+    """(h, f/h, g/h) with h the primitive gcd of f and g, or None.
+
+    f and g are primitive of degree >= 1.  At xi = 2^(8*width) the integer
+    gcd of f(xi) and g(xi) is h(xi) times a factor bounded independently
+    of xi, so once xi is large enough its symmetric base-xi digits are h
+    times their content, and the digits of f(xi)/h(xi) and g(xi)/h(xi) are
+    the cofactors; each failure retries with a larger xi.  A candidate is
+    accepted only if h*cf == f and h*cg == g hold exactly, and then h is
+    the gcd: xi > 2*max(|f|, |g|) + 2 (max norms), the gcd is h*q with
+    q(xi) dividing the content of the digits, at most xi/2, and by
+    Cauchy's root bound a nonconstant q dividing f has |q(xi)| > xi/2.
+    The same bound keeps every root of f and g below xi, so f(xi) and
+    g(xi) are nonzero, and makes f(xi) and g(xi) byte packings.
+    """
+    bound = 2 * max(max(map(abs, f)), max(map(abs, g))) + 29
+    width = bound.bit_length() // 8 + 1  # xi > bound
+    for _ in range(HEURISTIC_GCD_TRIES):
+        ff, gg = _pack(f, width), _pack(g, width)  # f(xi), g(xi)
+        common = gcd(ff, gg)
+        h = _digits(common, width)
+        content = gcd(*h)  # common > 0, so h has a positive leading digit
+        h = [c // content for c in h]
+        h_xi = common // content
+        cf = _digits(ff // h_xi, width)
+        cg = _digits(gg // h_xi, width)
+        if _int_mul(h, cf) == f and _int_mul(h, cg) == g:
+            return h, cf, cg
+        width += width // 4 + 1
+    return None
+
+
+def _euclid_gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
+    """gcd_cofactors by the Euclidean algorithm over Q."""
+    u, v = a, b
+    while v:
+        r = u % v
+        u, v = v, (r.monic() if r else r)
+    if not u:
+        return UPoly.zero(), UPoly.zero(), UPoly.zero()
+    g = u.monic()
+    return g, a.exact_div(g), b.exact_div(g)
 
 
 def multiplicity(f: UPoly, b: UPoly) -> int:
@@ -528,20 +629,13 @@ def squarefree_decompose(f: UPoly) -> SqfDecomp:
     unit = f.leading
     w = f.monic()
     parts: list[tuple[UPoly, int]] = []
-    d1 = w.derivative()
-    a = poly_gcd(w, d1)
-    b = w if a.is_one else w.exact_div(a)
-    c = d1 if a.is_one else d1.exact_div(a)
+    _, b, c = gcd_cofactors(w, w.derivative())
     d = c - b.derivative()
     i = 1
     while not b.is_constant:
-        p = poly_gcd(b, d)
+        p, b, c = gcd_cofactors(b, d)
         if not p.is_constant:
             parts.append((p, i))
-            b = b.exact_div(p)
-            c = d.exact_div(p)
-        else:
-            c = d
         d = c - b.derivative()
         i += 1
     return SqfDecomp(unit=unit, parts=tuple(parts))
@@ -624,17 +718,16 @@ def coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
             rest = part
             refined: list[tuple[UPoly, list[int]]] = []
             for b, row in basis:
-                d = poly_gcd(b, rest)
+                d, b_left, rest_left = gcd_cofactors(b, rest)
                 if d.is_constant:
                     refined.append((b, row))
                     continue
-                b_left = b.exact_div(d)
                 if not b_left.is_constant:
                     refined.append((b_left, row))
                 d_row = row.copy()
                 d_row[k] += i
                 refined.append((d, d_row))
-                rest = rest.exact_div(d)
+                rest = rest_left
             if not rest.is_constant:
                 row = [0] * len(polys)
                 row[k] = i

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import (
@@ -155,20 +156,27 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
 
 def _search_rational_point(a: Fraction, b: Fraction, c: Fraction,
                            height: int = CONIC_SEARCH_HEIGHT):
-    """First rational (x0, z0) with z0^2 = a x0^2 + b x0 + c, by height."""
-    from math import gcd
+    """First rational (x0, z0) with z0^2 = a x0^2 + b x0 + c, by height.
 
+    Runs on integers: with a, b, c = A/D, B/D, C/D over a common D and
+    x0 = p/q in lowest terms, z0^2 = N / (D q^2) for N = A p^2 + B p q + C q^2,
+    a square in Q exactly when N*D is a square integer r^2; then
+    z0 = r / (D q).
+    """
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    ia, ib, ic = (v.numerator * (den // v.denominator) for v in (a, b, c))
     for h in range(1, height + 1):
         candidates = [(p, h) for p in range(-h, h + 1)]
         candidates += [(h, q) for q in range(1, h)]
         candidates += [(-h, q) for q in range(1, h)]
         for p, q in candidates:
-            if gcd(abs(p), q) != 1:
+            if gcd(p, q) != 1:
                 continue
-            x0 = Fraction(p, q)
-            z0 = fraction_sqrt(a * x0 * x0 + b * x0 + c)
-            if z0 is not None:
-                return x0, z0
+            nd = (ia * p * p + ib * p * q + ic * q * q) * den
+            if nd >= 0:
+                r = isqrt(nd)
+                if r * r == nd:
+                    return Fraction(p, q), Fraction(r, den * q)
     return None
 
 

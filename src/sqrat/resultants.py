@@ -1,14 +1,10 @@
 """Resultants and eliminations for polynomials with polynomial coefficients.
 
 The objects here are polynomials in an auxiliary variable z whose
-coefficients live in Q[x] ("ZPoly", a tuple of UPoly, constant term first),
-and bivariate polynomials in (z, y) represented as tuples over the y-degree
-of ZPoly coefficients.  Minimal polynomials eliminate y from p(z - y) and
-y^2 - f with resultant_with_quadratic: the norm a^2 - f*b^2 of p(z - y)
-reduced modulo y^2 - f.  The general Sylvester determinant (resultant,
-by fraction-free Bareiss elimination with every division checked exact)
-is on no library path; tests/test_resultants.py uses it as the oracle for
-resultant_with_quadratic.
+coefficients live in Q[x] ("ZPoly", a tuple of UPoly, constant term first).
+Minimal polynomials eliminate y from p(z - y) and y^2 - f with
+resultant_with_quadratic: the norm a^2 - f*b^2 of p(z - y) reduced modulo
+y^2 - f, so no Sylvester matrix is formed.
 
 Degrees in this library stay small (the minimal polynomial of m square
 roots has z-degree 2^m), so the dense representation is fine.
@@ -17,14 +13,12 @@ roots has z-degree 2^m), so the dense representation is fine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroInputError
 from .poly import RatFunc, UPoly, coprime_basis, poly_gcd
 
 ZPoly = tuple[UPoly, ...]
-BiPoly = tuple[ZPoly, ...]
 
 
 def zpoly(coeffs: Iterable[Union[UPoly, int, Fraction]]) -> ZPoly:
@@ -76,46 +70,6 @@ def zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
         for j, cb in enumerate(b):
             out[i + j] = out[i + j] + ca * cb
     return zpoly(out)
-
-
-def zp_pow(a: ZPoly, n: int) -> ZPoly:
-    if n < 0:
-        raise ValueError("negative power of a polynomial")
-    out = ZP_ONE
-    while n:
-        if n & 1:
-            out = zp_mul(out, a)
-        n >>= 1
-        if n:
-            a = zp_mul(a, a)
-    return out
-
-
-def zp_exact_div(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Exact division in Q[x][z]; raises ValueError if b does not divide a."""
-    if not b:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not a:
-        return ZP_ZERO
-    rem = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    if len(rem) - 1 < db:
-        raise ValueError("inexact division: degree too small")
-    quo = [UPoly.zero()] * (len(rem) - db)
-    for k in range(len(rem) - 1, db - 1, -1):
-        c = rem[k]
-        if c.is_zero:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ValueError("inexact division in the coefficient ring")
-        quo[k - db] = q
-        for j in range(db + 1):
-            rem[k - db + j] = rem[k - db + j] - q * b[j]
-    if any(not c.is_zero for c in rem):
-        raise ValueError("inexact division: nonzero remainder")
-    return zpoly(quo)
 
 
 def zp_derivative(p: ZPoly) -> ZPoly:
@@ -212,50 +166,7 @@ def zp_is_squarefree_in_z(p: ZPoly) -> bool:
     return zp_gcd_degree_over_field(p, dp) == 0
 
 
-# -- Sylvester resultant ------------------------------------------------------
-
-
-def shift_by_minus_y(p: ZPoly) -> BiPoly:
-    """Expand p(z - y) as a polynomial in y with ZPoly coefficients."""
-    d = zp_degree(p)
-    if d is None:
-        return ()
-    out: list[list[UPoly]] = [[UPoly.zero()] * (d + 1) for _ in range(d + 1)]
-    for i, c in enumerate(p):
-        if c.is_zero:
-            continue
-        for j in range(i + 1):
-            # coefficient of y^j z^(i-j) in c * (z - y)^i
-            term = comb(i, j) * ((-1) ** j) * c
-            out[j][i - j] = out[j][i - j] + term
-    rows = [zpoly(row) for row in out]
-    while rows and not rows[-1]:
-        rows.pop()
-    return tuple(rows)
-
-
-def _det_bareiss(m: list[list[ZPoly]]) -> ZPoly:
-    """Fraction-free determinant of a square matrix over Q[x][z]."""
-    n = len(m)
-    if n == 0:
-        return ZP_ONE
-    sign = 1
-    prev = ZP_ONE
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return ZP_ZERO
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = zp_sub(zp_mul(m[i][j], m[k][k]), zp_mul(m[i][k], m[k][j]))
-                m[i][j] = zp_exact_div(num, prev) if num else ZP_ZERO
-            m[i][k] = ZP_ZERO
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return zp_neg(det) if sign < 0 else det
+# -- resultants with quadratics ----------------------------------------------
 
 
 def resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
@@ -279,40 +190,6 @@ def resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
         shifted_v = zpoly((UPoly.zero(),) + v)
         u, v = zp_sub(shifted_u, zp_mul(f_z, v)), zp_sub(shifted_v, u)
     return zp_sub(zp_mul(a, a), zp_mul(f_z, zp_mul(b, b)))
-
-
-def resultant(a: BiPoly, b: BiPoly) -> ZPoly:
-    """Sylvester determinant resultant eliminating y.
-
-    a and b are polynomials in y (ascending) with ZPoly coefficients; both
-    must be nonzero.  The result is a polynomial in z over Q[x].
-    """
-    a = tuple(zpoly(c) for c in a)
-    b = tuple(zpoly(c) for c in b)
-    while a and not a[-1]:
-        a = a[:-1]
-    while b and not b[-1]:
-        b = b[:-1]
-    if not a or not b:
-        raise ZeroInputError("resultant of the zero polynomial")
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return zp_pow(a[0], db)
-    if db == 0:
-        return zp_pow(b[0], da)
-    size = da + db
-    matrix: list[list[ZPoly]] = []
-    for i in range(db):
-        row = [ZP_ZERO] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        matrix.append(row)
-    for i in range(da):
-        row = [ZP_ZERO] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        matrix.append(row)
-    return _det_bareiss(matrix)
 
 
 # -- monic denominator clearing ----------------------------------------------

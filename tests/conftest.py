@@ -7,7 +7,17 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from sqrat.parsing import MAX_NESTING
 from sqrat.poly import RatFunc, UPoly
+
+# deeply nested inputs, each with the position of the token at which the
+# nesting passes the parser's limit
+DEEP_INPUTS = [
+    ("(" * 3000 + "x" + ")" * 3000, MAX_NESTING),
+    ("-" * 3000 + "x", MAX_NESTING),
+    ("x^" * 2000 + "1", 2 * MAX_NESTING),
+]
+DEEP_INPUT_IDS = ["parentheses", "minus", "powers"]
 
 small_fractions = st.builds(Fraction, st.integers(-9, 9),
                             st.integers(1, 4))

@@ -1,11 +1,16 @@
 """Command line behavior: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import sqrat
+from conftest import DEEP_INPUT_IDS, DEEP_INPUTS
 from sqrat.cli import main
 
 SCHEMA = json.loads(
@@ -166,3 +171,40 @@ class TestDeterminism:
         for key in ("verdict", "genus", "rank", "branch_count",
                     "failing_subset"):
             assert from_file[key] == from_args[key]
+
+
+class TestRobustInput:
+    @pytest.mark.parametrize("text", [text for text, _ in DEEP_INPUTS],
+                             ids=DEEP_INPUT_IDS)
+    def test_deep_nesting_exits_2(self, capsys, text):
+        code, out, err = run(capsys, ["decide", "--", text])
+        assert code == 2
+        assert out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
+
+
+REPEATED = [
+    ["decide", "x", "4*x+1", "x^2-4*x"],
+    ["decide", "x^2-x", "x^2-2*x", "x^2-3*x+2", "--json"],
+    ["genus", "x^3-x", "--root-order", "3", "--json"],
+    ["minpoly", "x", "x-1"],
+    ["rationalize", "x^2+1"],
+    ["rationalize", "--json", "--", "-(x^2+1)"],
+    ["decide", "x + + 1"],
+    ["decide"],
+]
+
+
+def test_main_reused_in_one_process(capsys):
+    """Many main() calls in one process print what fresh processes print."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sqrat.__file__).parents[1]))
+    fresh = []
+    for argv in REPEATED:
+        proc = subprocess.run([sys.executable, "-m", "sqrat.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert {code for code, _, _ in fresh} == {0, 1, 2}
+    for _ in range(3):
+        for argv, expected in zip(REPEATED, fresh):
+            assert run(capsys, argv) == expected

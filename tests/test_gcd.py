@@ -1,0 +1,136 @@
+"""gcd_cofactors: heuristic GCD against the Euclidean fallback and sympy."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqrat import poly
+from sqrat.poly import UPoly, _euclid_gcd_cofactors, gcd_cofactors, poly_gcd
+
+X = UPoly.x()
+
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),
+    st.integers(-(1 << 3000), 1 << 3000),
+)
+
+
+def polys(max_degree: int = 5) -> st.SearchStrategy:
+    return st.lists(coefficients, max_size=max_degree + 1).map(UPoly)
+
+
+@st.composite
+def pairs(draw):
+    """Pairs sharing a random factor, with zero, constants and scalings."""
+    common = draw(polys(4))
+    a = draw(polys()) * common ** draw(st.integers(0, 2))
+    b = draw(polys()) * common
+    scale = draw(st.sampled_from([1, -6, Fraction(3, 7), 1 << 200]))
+    return a * scale, b
+
+
+POWERS = [
+    ((X + 1) ** 130, (X + 1) ** 64 * (X - 2) ** 3),
+    ((X + 1) ** 64 * (X + 2) ** 63, ((X + 1) ** 64 * (X + 2) ** 63).derivative()),
+    ((X ** 2 + X + 1) ** 65, (3 * X ** 2 + 3 * X + 3) ** 40 * (X - 1)),
+    ((X - Fraction(1, 3)) ** 130, (X - Fraction(1, 3)) ** 7 * (2 * X + 5)),
+]
+
+
+def assert_cofactors(a, b, result):
+    g, ca, cb = result
+    assert g.is_zero or g.leading == 1
+    assert g * ca == a and g * cb == b
+
+
+@given(pairs())
+@settings(max_examples=150, deadline=None)
+def test_matches_euclid(pair):
+    a, b = pair
+    result = gcd_cofactors(a, b)
+    assert result == _euclid_gcd_cofactors(a, b)
+    assert_cofactors(a, b, result)
+    assert poly_gcd(a, b) == result[0]
+
+
+@pytest.mark.parametrize("a,b", POWERS)
+def test_high_degree_powers(a, b):
+    result = gcd_cofactors(a, b)
+    assert result == _euclid_gcd_cofactors(a, b)
+    assert_cofactors(a, b, result)
+
+
+@pytest.mark.parametrize("a,b,g", [
+    (UPoly.zero(), UPoly.zero(), UPoly.zero()),
+    (UPoly.zero(), 2 * X + 4, X + 2),
+    (3 * X - 1, UPoly.zero(), X - Fraction(1, 3)),
+    (UPoly.constant(5), X ** 2 + 1, UPoly.one()),
+    (UPoly.constant(Fraction(2, 3)), UPoly.zero(), UPoly.one()),
+    (6 * X ** 2 - 6, 4 * X + 4, X + 1),
+])
+def test_edge_cases(a, b, g):
+    result = gcd_cofactors(a, b)
+    assert result[0] == g
+    assert result == _euclid_gcd_cofactors(a, b)
+    assert_cofactors(a, b, result)
+
+
+@given(pairs())
+@settings(max_examples=40, deadline=None)
+def test_fallback_path_agrees(pair):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
+        forced = gcd_cofactors(a, b)
+    assert forced == gcd_cofactors(a, b)
+    assert_cofactors(a, b, forced)
+
+
+def test_fallback_runs_when_no_point_is_tried(monkeypatch):
+    calls = []
+    original = poly._euclid_gcd_cofactors
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    a, b = (X + 1) ** 3 * (X - 2), (X + 1) * (X + 5)
+    monkeypatch.setattr(poly, "_euclid_gcd_cofactors", counting)
+    assert gcd_cofactors(a, b)[0] == X + 1
+    assert not calls
+    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
+    assert gcd_cofactors(a, b)[0] == X + 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("f,g", [
+    ([8, 1], [8, 7, 9]),                          # candidate x + 8 divides f only
+    ([5, 10, 10, -6, 1], [9, 1]),                 # candidate x + 9 divides g only
+    ([6, -4, 10, -9, 8], [6, -3, -10, 4, 8]),     # candidate x + 102 divides neither
+])
+def test_unlucky_first_point_is_rejected(monkeypatch, f, g):
+    # coprime pairs whose first evaluation point yields a false common
+    # factor: only the exact checks of both products reject it
+    a, b = UPoly(f), UPoly(g)
+    assert gcd_cofactors(a, b) == (UPoly.one(), a, b)
+    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 1)
+    assert gcd_cofactors(a, b) == (UPoly.one(), a, b)
+
+
+@given(pairs())
+@settings(max_examples=100, deadline=None)
+def test_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                         for c in p.coeffs])) or [0], x, domain="QQ")
+
+    expected = sympy.gcd(to_sympy(a), to_sympy(b))
+    g = gcd_cofactors(a, b)[0]
+    assert to_sympy(g) == (expected.monic() if not expected.is_zero else expected)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from conftest import ratfuncs
+from conftest import DEEP_INPUT_IDS, DEEP_INPUTS, ratfuncs
 from sqrat.errors import (
     DivisionByZeroExpressionError,
     EmptyInputError,
@@ -15,7 +15,7 @@ from sqrat.errors import (
     UnsupportedVariableError,
     ZeroRadicandError,
 )
-from sqrat.parsing import parse_expr, parse_radicand_file
+from sqrat.parsing import MAX_NESTING, parse_expr, parse_radicand_file
 from sqrat.poly import RatFunc, UPoly
 
 X = UPoly.x()
@@ -109,6 +109,19 @@ class TestRadicandFile:
 
 
 class TestRobustness:
+    @pytest.mark.parametrize("text,position", DEEP_INPUTS, ids=DEEP_INPUT_IDS)
+    def test_deep_nesting_is_a_syntax_error(self, text, position):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.position == position
+        assert "nested too deeply" in str(info.value)
+
+    def test_nesting_below_the_limit_parses(self):
+        depth = MAX_NESTING - 1
+        assert parse_expr("(" * depth + "x" + ")" * depth) == RatFunc(X)
+        assert parse_expr("-" * depth + "x") == RatFunc(-X)
+        assert parse_expr("2^" * 2 + "2") == RatFunc(16)
+
     def test_structured_errors_on_junk(self):
         rng = random.Random(99)
         alphabet = "x0123456789+-*/^() \t.#$yz\\"

@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_factored_poly, random_poly
 from sqrat.decide import RATIONALIZABLE, decide_set
@@ -16,12 +19,15 @@ from sqrat.poly import (
     RatFunc,
     SquareOverQ,
     UPoly,
+    fraction_sqrt,
     is_square,
     squarefree_part,
     substitute,
 )
 from sqrat.rationalize import (
+    CONIC_SEARCH_HEIGHT,
     Witness,
+    _search_rational_point,
     greedy_rationalize,
     minpoly_multiquadratic,
     rationalize_conic,
@@ -98,6 +104,47 @@ class TestRationalizeConic:
             count += 1
             s = rationalize_conic(f)
             assert isinstance(is_square(substitute(f, s)), SquareOverQ)
+
+
+def fraction_point_search(a, b, c, height):
+    """The Fraction loop the integer point search replaced: the reference."""
+    for h in range(1, height + 1):
+        candidates = [(p, h) for p in range(-h, h + 1)]
+        candidates += [(h, q) for q in range(1, h)]
+        candidates += [(-h, q) for q in range(1, h)]
+        for p, q in candidates:
+            if gcd(abs(p), q) != 1:
+                continue
+            x0 = Fraction(p, q)
+            z0 = fraction_sqrt(a * x0 * x0 + b * x0 + c)
+            if z0 is not None:
+                return x0, z0
+    return None
+
+
+conic_coefficients = st.builds(Fraction, st.integers(-60, 60),
+                               st.sampled_from([1, 1, 2, 3, 4, 9, 12, 49]))
+
+
+class TestPointSearch:
+    @given(a=conic_coefficients, b=conic_coefficients, c=conic_coefficients)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_search(self, a, b, c):
+        assert (_search_rational_point(a, b, c, height=12)
+                == fraction_point_search(a, b, c, 12))
+
+    @pytest.mark.parametrize("abc", [
+        (Fraction(-1), Fraction(0), Fraction(-1)),        # definite, no point
+        (Fraction(3), Fraction(0), Fraction(3)),          # 3(x^2+1): no point
+        (Fraction(2), Fraction(0), Fraction(-1)),         # indefinite: x0 = 1
+        (Fraction(-2), Fraction(0), Fraction(3)),         # z0 = 1 at x0 = +-1
+        (Fraction(7, 4), Fraction(-5, 6), Fraction(2, 9)),
+        (Fraction(-3, 5), Fraction(1, 7), Fraction(11, 3)),
+        (Fraction(5, 49), Fraction(0), Fraction(-1, 12)),
+    ])
+    def test_definite_indefinite_and_denominators(self, abc):
+        assert (_search_rational_point(*abc)
+                == fraction_point_search(*abc, CONIC_SEARCH_HEIGHT))
 
 
 class TestGreedy:

@@ -1,19 +1,18 @@
-"""Sylvester resultants, bivariate lifting, denominator clearing."""
+"""Resultants with quadratics against Sylvester determinants, denominator clearing."""
 
 import random
 
 import pytest
 
 from conftest import random_poly
+from sylvester import resultant, shift_by_minus_y
 from sqrat.errors import ZeroInputError
 from sqrat.poly import RatFunc, UPoly
 from sqrat.resultants import (
     ZP_ONE,
     ZP_ZERO,
     clear_denominators_monic,
-    resultant,
     resultant_with_quadratic,
-    shift_by_minus_y,
     zp_mul,
     zp_to_str,
     zpoly,
