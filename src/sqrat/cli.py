@@ -7,7 +7,9 @@ two-space indent, so identical inputs give byte-identical output).
 
 Exit codes: decide and rationalize use 0 for a positive outcome, 1 for a
 negative or unknown one; genus, minpoly and scan use 0 on success; every
-error path exits 2 with a message on stderr.
+error path exits 2 with a message on stderr.  A broken internal invariant
+(RuntimeError), a RecursionError or a MemoryError also exits 2, with an
+"internal error" message; --debug re-raises it with its traceback.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ def _add_radicand_args(parser: argparse.ArgumentParser):
                         help="read radicands from a file instead")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the report as JSON")
+    _add_debug_arg(parser)
+
+
+def _add_debug_arg(parser: argparse.ArgumentParser):
+    parser.add_argument("--debug", action="store_true",
+                        help="show the traceback of an internal error")
 
 
 def _load_radicands(args) -> list[RadicandSpec]:
@@ -309,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="where to write disagreements (default "
                         f"{SCAN_DISAGREEMENTS_FILE})")
     p.add_argument("--json", action="store_true", dest="as_json")
+    _add_debug_arg(p)
     p.set_defaults(func=cmd_scan)
     return parser
 
@@ -323,11 +332,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SqratError as exc:
+    except (SqratError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:  # RecursionError included
+        if args.debug:
+            raise
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

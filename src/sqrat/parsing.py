@@ -16,6 +16,23 @@ rejected with an error naming multivariate input as out of scope.  Every
 input either parses to a value or raises a structured ParseError carrying
 the character position; the parser never dies on arbitrary bytes.
 
+Parsing reads the whole text into a tree first.  Each node carries a
+_Bound: the degrees of an integer numerator N and denominator D with
+value N/D, and log2 bounds on their 1-norms (sums of absolute
+coefficients), which bound every coefficient.  The 1-norm is
+submultiplicative, so products, quotients and powers add or multiply the
+bounds; a sum is put over the product of its terms' denominators, so
+those degrees and bits add up.  Every intermediate value of the
+evaluation is a partial sum, product or power of its node's, within the
+node's bounds.  A sum, product, quotient or power whose bounds pass
+MAX_DEGREE or MAX_COEFF_BITS is an ExprSyntaxError at its operator,
+raised before anything is computed; only exponents (which must be
+constants) and divisors (which must not be zero) are evaluated while the
+tree is read, so errors come in text order.  The tree is then evaluated
+in UPoly: a product with a constant operand or a division by a constant
+scales the coefficients, and a RatFunc is built only at a "/" whose
+divisor is not constant, and once at the end.
+
 Radicand files hold one radicand per line, UTF-8, with # comments and
 blank lines ignored and an optional "root[e]:" prefix selecting the root
 order (default 2).
@@ -25,6 +42,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple, Union
 
 from .errors import (
     DivisionByZeroExpressionError,
@@ -39,13 +58,17 @@ from .poly import RatFunc, UPoly
 
 MAX_EXPONENT = 4096
 MAX_NESTING = 100
+# cost budget: bounds on the degrees and coefficient bits of every sum,
+# product, quotient and power, checked before it is computed
+MAX_DEGREE = 4096
+MAX_COEFF_BITS = 8192
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^]))")
+# the last group catches any other character, so that it is an error
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^])|(\S))")
 _ROOT_PREFIX_RE = re.compile(r"^root\[(\d+)\]\s*:\s*(.*)$")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "name", or the operator/paren character itself
     text: str
     position: int
@@ -53,26 +76,80 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == match.start():
-            # skip pure whitespace tail
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}",
-                                  position=bad)
-        if match.group(1) is not None:
-            tokens.append(Token("int", match.group(1), match.start(1)))
-        elif match.group(2) is not None:
-            tokens.append(Token("name", match.group(2), match.start(2)))
-        else:
-            op = match.group(3)
-            tokens.append(Token(op, op, match.start(3)))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        group = match.lastindex
+        token = match.group(group)
+        if group == 4:
+            raise ExprSyntaxError(f"unexpected character {token!r}",
+                                  position=match.start(4))
+        kind = "int" if group == 1 else "name" if group == 2 else token
+        tokens.append(Token(kind, token, match.start(group)))
     return tokens
+
+
+class _Bound(NamedTuple):
+    """Size of a value N/D with N and D integer polynomials, not reduced.
+
+    The 1-norms of N and D are at most 2^num_bits and 2^den_bits.
+    """
+
+    num_degree: int
+    num_bits: int
+    den_degree: int
+    den_bits: int
+
+    def __mul__(self, other: _Bound) -> _Bound:
+        return _Bound(self.num_degree + other.num_degree,
+                      self.num_bits + other.num_bits,
+                      self.den_degree + other.den_degree,
+                      self.den_bits + other.den_bits)
+
+    def __truediv__(self, other: _Bound) -> _Bound:
+        return self * _Bound(other.den_degree, other.den_bits,
+                             other.num_degree, other.num_bits)
+
+    def __pow__(self, n: int) -> _Bound:
+        return _Bound(*(b * n for b in self))
+
+
+class _SumBound:
+    """_Bound of a1 ± ... ± am = (sum of ±Ni * prod_{j != i} Dj) / prod Dj."""
+
+    def __init__(self, first: _Bound):
+        self.terms = 0
+        self.den_degree = self.den_bits = 0
+        # max over the terms of deg(Ni) - deg(Di) and of the same for bits
+        self.excess_degree = first.num_degree - first.den_degree
+        self.excess_bits = first.num_bits - first.den_bits
+        self.add(first)
+
+    def add(self, b: _Bound) -> _Bound:
+        self.terms += 1
+        self.den_degree += b.den_degree
+        self.den_bits += b.den_bits
+        self.excess_degree = max(self.excess_degree,
+                                 b.num_degree - b.den_degree)
+        self.excess_bits = max(self.excess_bits, b.num_bits - b.den_bits)
+        # |N|_1 <= m * max_i |Ni|_1 * prod_{j != i} |Dj|_1
+        return _Bound(self.excess_degree + self.den_degree,
+                      self.excess_bits + self.den_bits
+                      + (self.terms - 1).bit_length(),
+                      self.den_degree, self.den_bits)
+
+
+class _Node:
+    """A parsed subexpression: how to evaluate it, and a _Bound on its value.
+
+    value is set once the node has been evaluated.
+    """
+
+    __slots__ = ("op", "args", "bound", "value")
+
+    def __init__(self, op: str, args, bound: _Bound, value=None):
+        self.op = op
+        self.args = args
+        self.bound = bound
+        self.value = value
 
 
 class _Parser:
@@ -105,37 +182,53 @@ class _Parser:
     def parse(self) -> RatFunc:
         if not self.tokens:
             raise ExprSyntaxError("expected an expression", position=0)
-        value = self.expr()
+        node = self.expr()
         leftover = self.peek()
         if leftover is not None:
             raise ExprSyntaxError(f"unexpected {leftover.text!r}",
                                   position=leftover.position)
-        return value
+        return _as_ratfunc(_evaluate(node))
 
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def expr(self) -> _Node:
+        node = self.term()
+        terms = None
         while (tok := self.peek()) is not None and tok.kind in "+-":
             self.advance()
+            if terms is None:
+                terms = [("+", node)]
+                bound = _SumBound(node.bound)
             rhs = self.term()
-            value = value + rhs if tok.kind == "+" else value - rhs
-        return value
+            total = bound.add(rhs.bound)
+            _check_budget(total, tok)
+            terms.append((tok.kind, rhs))
+        if terms is None:
+            return node
+        return _Node("sum", terms, total)
 
-    def term(self) -> RatFunc:
-        value = self.unary()
+    def term(self) -> _Node:
+        node = self.unary()
+        factors = None
         while (tok := self.peek()) is not None and tok.kind in "*/":
             self.advance()
             rhs = self.unary()
+            if factors is None:
+                factors = [("*", node)]
+                bound = node.bound
             if tok.kind == "*":
-                value = value * rhs
+                bound = bound * rhs.bound
             else:
-                if rhs.is_zero:
-                    raise DivisionByZeroExpressionError(
-                        "denominator is identically zero",
-                        position=tok.position)
-                value = value / rhs
-        return value
+                bound = bound / rhs.bound
+            _check_budget(bound, tok)
+            if tok.kind == "/" and _evaluate(rhs).is_zero:
+                raise DivisionByZeroExpressionError(
+                    "denominator is identically zero",
+                    position=tok.position)
+            factors.append((tok.kind, rhs))
+        if factors is None:
+            return node
+        return _Node("product", factors, bound)
 
-    def unary(self) -> RatFunc:
+    def unary(self) -> _Node:
         # every nested construct ("(", unary "-", the exponent of "^")
         # recurses through here, so this bounds the recursion depth
         tok = self.peek()
@@ -146,22 +239,23 @@ class _Parser:
         self.depth += 1
         if tok is not None and tok.kind == "-":
             self.advance()
-            value = -self.unary()
+            inner = self.unary()
+            node = _Node("neg", inner, inner.bound)
         else:
-            value = self.power()
+            node = self.power()
         self.depth -= 1
-        return value
+        return node
 
-    def power(self) -> RatFunc:
+    def power(self) -> _Node:
         base = self.atom()
         tok = self.peek()
         if tok is not None and tok.kind == "^":
             self.advance()
-            exponent = self.unary()
-            if not exponent.is_constant:
+            exponent = _evaluate(self.unary())
+            if not (isinstance(exponent, UPoly) and exponent.is_constant):
                 raise ExprSyntaxError("exponent must be a constant",
                                       position=tok.position)
-            value = exponent.as_fraction
+            value = exponent.coeff(0)
             if value.denominator != 1:
                 raise ExprSyntaxError(
                     "exponent must be a nonnegative integer",
@@ -175,26 +269,125 @@ class _Parser:
                 raise ExprSyntaxError(
                     f"exponent too large (limit {MAX_EXPONENT})",
                     position=tok.position)
-            return base ** n
+            bound = base.bound ** n
+            _check_budget(bound, tok)
+            return _Node("power", (base, n), bound)
         return base
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> _Node:
         tok = self.advance()
         if tok.kind == "int":
-            return RatFunc(int(tok.text))
+            digits = tok.text.lstrip("0") or "0"
+            # a digit is more than 3 bits, and int() refuses long strings
+            n = int(digits) if 3 * len(digits) <= MAX_COEFF_BITS else None
+            if n is None or n > 1 << MAX_COEFF_BITS:
+                raise ExprSyntaxError(
+                    f"integer too large (limit 2^{MAX_COEFF_BITS})",
+                    position=tok.position)
+            # the least b with n <= 2^b
+            bits = (n - 1).bit_length() if n else 0
+            return _Node("leaf", None, _Bound(0, bits, 0, 0), UPoly.constant(n))
         if tok.kind == "name":
             if tok.text == "x":
-                return RatFunc(UPoly.x())
+                return _Node("leaf", None, _X_BOUND, _X)
             raise UnsupportedVariableError(
                 f"variable {tok.text!r} not supported: multivariate input "
                 "is out of scope (only x)",
                 position=tok.position)
         if tok.kind == "(":
-            value = self.expr()
+            node = self.expr()
             self.expect(")")
-            return value
+            return node
         raise ExprSyntaxError(f"unexpected {tok.text!r}",
                               position=tok.position)
+
+
+def _check_budget(bound: _Bound, tok: Token):
+    degree = max(bound.num_degree, bound.den_degree)
+    bits = max(bound.num_bits, bound.den_bits)
+    if degree > MAX_DEGREE or bits > MAX_COEFF_BITS:
+        raise ExprSyntaxError(
+            f"expression too large: degree up to {degree}, coefficients "
+            f"up to 2^{bits} (limits {MAX_DEGREE} and 2^{MAX_COEFF_BITS})",
+            position=tok.position)
+
+
+_X = UPoly.x()
+_X_BOUND = _Bound(1, 0, 0, 0)
+
+Value = Union[UPoly, RatFunc]
+
+
+def _evaluate(node: _Node) -> Value:
+    """Value of a node: a UPoly, or a RatFunc whose denominator is not 1."""
+    if node.value is None:
+        node.value = _EVALUATORS[node.op](node.args)
+    return node.value
+
+
+def _evaluate_sum(terms) -> Value:
+    value = _evaluate(terms[0][1])
+    for sign, node in terms[1:]:
+        rhs = _evaluate(node)
+        value = _demote(value + rhs if sign == "+" else value - rhs)
+    return value
+
+
+def _evaluate_product(factors) -> Value:
+    value = _evaluate(factors[0][1])
+    for op, node in factors[1:]:
+        rhs = _evaluate(node)
+        if op == "/" and isinstance(rhs, UPoly) and rhs.is_constant:
+            value = _scale(value, 1 / rhs.coeff(0))
+        elif op == "/":
+            value = _demote(_as_ratfunc(value) / rhs)
+        elif isinstance(value, UPoly) and isinstance(rhs, UPoly):
+            if value.is_constant:
+                value = _scale(rhs, value.coeff(0))
+            elif rhs.is_constant:
+                value = _scale(value, rhs.coeff(0))
+            else:
+                value = value * rhs
+        else:
+            value = _demote(value * rhs)
+    return value
+
+
+def _evaluate_power(args) -> Value:
+    base, n = args
+    value = _evaluate(base)
+    if isinstance(value, UPoly) and not any(value.coeffs[:-1]):
+        # a monomial, constants and zero included
+        if not value:
+            return UPoly.one() if n == 0 else value
+        return UPoly.monomial(value.degree * n, value.leading ** n)
+    return value ** n
+
+
+_EVALUATORS = {
+    "neg": lambda inner: -_evaluate(inner),
+    "sum": _evaluate_sum,
+    "product": _evaluate_product,
+    "power": _evaluate_power,
+}
+
+
+def _scale(value: Value, c: Fraction) -> Value:
+    """value * c for a rational scalar c, without a polynomial product."""
+    if isinstance(value, RatFunc):
+        return _demote(value * c)
+    return UPoly([a * c for a in value.coeffs])
+
+
+def _as_ratfunc(value: Value) -> RatFunc:
+    return value if isinstance(value, RatFunc) else RatFunc(value)
+
+
+def _demote(value: Value) -> Value:
+    """A RatFunc with denominator 1 as its numerator; anything else as it is."""
+    if isinstance(value, RatFunc) and value.den.is_one:
+        return value.num
+    return value
 
 
 def parse_expr(text: str) -> RatFunc:

@@ -17,14 +17,21 @@ On top of the ring arithmetic this module provides the square-theoretic
 toolbox the rest of the library is built on:
 
   * gcd with cofactors and squarefree decomposition (Yun's algorithm,
-    characteristic 0);
+    characteristic 0, run on the primitive integer coefficient list);
   * square classes modulo (Q(x)*)^2: every nonzero f factors uniquely as
     c * g * h^2 with c a rational constant, g monic squarefree and h a
     rational function with monic numerator and denominator;
   * gcd-free (coprime) bases with exact integer exponent matrices, the
-    factorization-free substitute for irreducible factorization;
+    factorization-free substitute for irreducible factorization, refined
+    on primitive integer coefficient lists and checked by an exact integer
+    reconstruction;
   * substitution x -> s(t) for nonconstant rational s, and exact square
     testing that distinguishes squares over Q from squares over C.
+
+Yun's algorithm and the coprime basis convert from Fraction once on the
+way in (primitive integer parts) and once on the way out (monic UPoly
+values), so their gcds, cofactors and derivatives are integer list
+operations.
 
 Decision-level code treats nonzero constants as squares (true over C, the
 constant field the geometry lives over); only witness verification cares
@@ -517,16 +524,12 @@ def gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
         return _euclid_gcd_cofactors(a, b)
     sa, f = _primitive(a.coeffs)
     sb, g = _primitive(b.coeffs)
-    found = _heuristic_gcd(f, g)
-    if found is None:
-        return _euclid_gcd_cofactors(a, b)
-    h, cf, cg = found
+    h, cf, cg = _int_gcd_cofactors(f, g)
     if len(h) == 1:  # h == [1]: coprime, the cofactors are a and b
         return UPoly.one(), a, b
     lead = h[-1]
     # a = sa*f = sa*h*cf, so a / (h/lead) = sa*lead*cf, and likewise for b
-    return (_upoly([Fraction(c, lead) for c in h]),
-            _scaled(sa * lead, cf), _scaled(sb * lead, cg))
+    return _monic(h), _scaled(sa * lead, cf), _scaled(sb * lead, cg)
 
 
 def _primitive(cs: tuple[Fraction, ...]) -> tuple[Fraction, list[int]]:
@@ -585,6 +588,40 @@ def _euclid_gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
     return g, a.exact_div(g), b.exact_div(g)
 
 
+def _int_gcd_cofactors(f: list[int], g: list[int]):
+    """(h, f/h, g/h) for nonzero integer lists, h primitive with positive lead.
+
+    Constants give h = [1].  Otherwise the heuristic GCD runs on the
+    primitive parts and the contents go back onto the cofactors; when it
+    gives up, the Euclidean algorithm over Q runs instead.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    cf, cg = gcd(*f), gcd(*g)
+    pf = f if cf == 1 else [c // cf for c in f]
+    pg = g if cg == 1 else [c // cg for c in g]
+    h, qf, qg = _heuristic_gcd(pf, pg) or _euclid_int_cofactors(pf, pg)
+    if cf != 1:
+        qf = [c * cf for c in qf]
+    if cg != 1:
+        qg = [c * cg for c in qg]
+    return h, qf, qg
+
+
+def _euclid_int_cofactors(f: list[int], g: list[int]):
+    """_heuristic_gcd's result, computed by _euclid_gcd_cofactors.
+
+    The monic gcd is s*h with h primitive and s > 0, so f/h = s*(f/gcd);
+    by Gauss's lemma those cofactors are integral.
+    """
+    monic, qf, qg = _euclid_gcd_cofactors(UPoly(f), UPoly(g))
+    s, h = _primitive(monic.coeffs)
+    scaled = [[c * s for c in q.coeffs] for q in (qf, qg)]
+    if any(c.denominator != 1 for q in scaled for c in q):
+        raise RuntimeError("gcd cofactor is not integral")
+    return h, *([c.numerator for c in q] for q in scaled)
+
+
 def multiplicity(f: UPoly, b: UPoly) -> int:
     """Largest k with b^k dividing f; f nonzero, b nonconstant.
 
@@ -615,38 +652,76 @@ class SqfDecomp:
     unit: Fraction
     parts: tuple[tuple[UPoly, int], ...]
 
-    def expand(self) -> UPoly:
-        out = UPoly.constant(self.unit)
-        for factor, mult in self.parts:
-            out = out * factor ** mult
-        return out
-
 
 def squarefree_decompose(f: UPoly) -> SqfDecomp:
-    """Yun's algorithm (valid in characteristic 0)."""
+    """Yun's algorithm (valid in characteristic 0) on the primitive integer part."""
     if f.is_zero:
         raise ZeroInputError("squarefree decomposition of zero")
-    unit = f.leading
-    w = f.monic()
-    parts: list[tuple[UPoly, int]] = []
-    _, b, c = gcd_cofactors(w, w.derivative())
-    d = c - b.derivative()
+    if f.is_constant:
+        return SqfDecomp(unit=f.leading, parts=())
+    parts = _int_squarefree(_positive(_primitive(f.coeffs)[1]))
+    return SqfDecomp(unit=f.leading,
+                     parts=tuple((_monic(p), i) for p, i in parts))
+
+
+def _positive(ints: list[int]) -> list[int]:
+    """ints or -ints, whichever has a positive leading coefficient."""
+    return ints if ints[-1] > 0 else [-c for c in ints]
+
+
+def _monic(ints: list[int]) -> UPoly:
+    lead = ints[-1]
+    return _upoly([Fraction(c, lead) for c in ints])
+
+
+def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's loop on a primitive integer f of degree >= 1 with positive lead.
+
+    Returns [(p_i, i)] with f = prod p_i^i and every p_i primitive,
+    nonconstant, squarefree and of positive lead.  With g = gcd(f, f'),
+    b = f/g and c = f'/g carry the same constant factor as Yun's monic
+    b and c, and so does d = c - b'; each step divides b and d by the
+    same p, so the scale stays common and d stays exact.
+    """
+    _, b, c = _int_gcd_cofactors(f, _int_derivative(f))
+    parts = []
     i = 1
-    while not b.is_constant:
-        p, b, c = gcd_cofactors(b, d)
-        if not p.is_constant:
+    while len(b) > 1:
+        d = _int_sub(c, _int_derivative(b))
+        if not d:  # every factor left in b has multiplicity i
+            parts.append((b, i))
+            break
+        p, b, c = _int_gcd_cofactors(b, d)
+        if len(p) > 1:
             parts.append((p, i))
-        d = c - b.derivative()
         i += 1
-    return SqfDecomp(unit=unit, parts=tuple(parts))
+    return parts
 
 
-def radical(f: UPoly) -> UPoly:
-    """Monic product of the distinct squarefree factors of f."""
-    out = UPoly.one()
-    for factor, _ in squarefree_decompose(f).parts:
-        out = out * factor
+def _int_derivative(f: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f) if k]
+
+
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b without trailing zeros."""
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def _int_pow(f: list[int], n: int) -> list[int]:
+    """f^n for n >= 1 by repeated squaring."""
+    result = None
+    while True:
+        if n & 1:
+            result = f if result is None else _int_mul(result, f)
+        n >>= 1
+        if not n:
+            return result
+        f = _int_mul(f, f)
 
 
 def square_class(f: RatFunc | UPoly) -> tuple[Fraction, UPoly, RatFunc]:
@@ -697,52 +772,58 @@ def coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
     fs[i] = c_i * prod_j basis[j] ** exponents[i][j] for nonzero rational
     constants c_i.
 
-    Exponents are tracked through the refinement rather than recomputed:
-    each element carries its exponent in every f, an element that splits
-    passes that row to both halves, the gcd with a squarefree part of
-    multiplicity i in f adds i to its entry for f, and a leftover part
-    starts a new row.  The exact reconstruction of every f verifies them.
+    The refinement runs on primitive integer coefficient lists of positive
+    lead, so every split is an integer gcd with cofactors; the monic basis
+    is built once at the end.  Exponents are tracked through the
+    refinement rather than recomputed: each element carries its exponent
+    in every f, an element that splits passes that row to both halves, the
+    gcd with a squarefree part of multiplicity i in f adds i to its entry
+    for f, and a leftover part starts a new row.  An exact check verifies
+    them: the primitive part of every f equals, up to sign, the product of
+    its basis powers, which are primitive by Gauss's lemma.
     """
     polys = list(fs)
     for f in polys:
         if f is None or f.is_zero:
             raise ZeroInputError("coprime basis of a family containing zero")
-    basis: list[tuple[UPoly, list[int]]] = []  # (element, exponent in each f)
-    for k, f in enumerate(polys):
-        if f.is_constant:
+    primitives = [_primitive(f.coeffs)[1] for f in polys]
+    basis: list[tuple[list[int], list[int]]] = []  # (element, exponent in each f)
+    for k, prim in enumerate(primitives):
+        if len(prim) == 1:
             continue
         # refine with each squarefree part separately: parts group the
         # factors of f by multiplicity, so every final basis element has a
         # single well-defined multiplicity in f
-        for part, i in squarefree_decompose(f).parts:
+        for part, i in _int_squarefree(_positive(prim)):
             rest = part
-            refined: list[tuple[UPoly, list[int]]] = []
+            refined: list[tuple[list[int], list[int]]] = []
             for b, row in basis:
-                d, b_left, rest_left = gcd_cofactors(b, rest)
-                if d.is_constant:
+                d, b_left, rest_left = _int_gcd_cofactors(b, rest)
+                if len(d) == 1:
                     refined.append((b, row))
                     continue
-                if not b_left.is_constant:
+                if len(b_left) > 1:
                     refined.append((b_left, row))
                 d_row = row.copy()
                 d_row[k] += i
                 refined.append((d, d_row))
                 rest = rest_left
-            if not rest.is_constant:
+            if len(rest) > 1:
                 row = [0] * len(polys)
                 row[k] = i
                 refined.append((rest, row))
             basis = refined
-    basis.sort(key=lambda element: element[0].sort_key())
-    exponents = [[row[k] for _, row in basis] for k in range(len(polys))]
-    for f, exps in zip(polys, exponents):
-        prod = UPoly.one()
-        for (b, _), e in zip(basis, exps):
-            prod = prod * b ** e
-        q, r = divmod(f, prod)
-        if r or not q.is_constant or q.is_zero:
+    elements = sorted(((_monic(b), b, row) for b, row in basis),
+                      key=lambda element: element[0].sort_key())
+    exponents = [[row[k] for _, _, row in elements] for k in range(len(polys))]
+    for prim, exps in zip(primitives, exponents):
+        prod = [1]
+        for (_, b, _), e in zip(elements, exps):
+            if e:
+                prod = _int_mul(prod, _int_pow(b, e))
+        if prod != _positive(prim):
             raise RuntimeError("coprime basis reconstruction failed")
-    return [b for b, _ in basis], exponents
+    return [monic for monic, _, _ in elements], exponents
 
 
 # -- substitution and square testing -----------------------------------------

@@ -1,0 +1,258 @@
+"""Fraction-based references for the integer front end.
+
+The library runs Yun's algorithm and the coprime basis on primitive
+integer coefficient lists, and its parser evaluates in UPoly.  The
+straightforward versions over Q below, with gcd_cofactors on UPoly values
+and a parser that evaluates every node as a RatFunc, are what the tests
+compare those against.  radical and expand are test helpers built on the
+library's own squarefree decomposition.
+"""
+
+from __future__ import annotations
+
+import re
+from typing import Sequence
+
+from sqrat.errors import (
+    DivisionByZeroExpressionError,
+    ExprSyntaxError,
+    NegativeExponentError,
+    UnsupportedVariableError,
+    ZeroInputError,
+)
+from sqrat.parsing import MAX_EXPONENT, MAX_NESTING, Token
+from sqrat.poly import RatFunc, SqfDecomp, UPoly, gcd_cofactors, squarefree_decompose
+
+
+def fraction_squarefree_decompose(f: UPoly) -> SqfDecomp:
+    """Yun's algorithm over Q on monic UPoly values."""
+    if f.is_zero:
+        raise ZeroInputError("squarefree decomposition of zero")
+    unit = f.leading
+    w = f.monic()
+    parts: list[tuple[UPoly, int]] = []
+    _, b, c = gcd_cofactors(w, w.derivative())
+    d = c - b.derivative()
+    i = 1
+    while not b.is_constant:
+        p, b, c = gcd_cofactors(b, d)
+        if not p.is_constant:
+            parts.append((p, i))
+        d = c - b.derivative()
+        i += 1
+    return SqfDecomp(unit=unit, parts=tuple(parts))
+
+
+def fraction_coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
+    """coprime_basis refined on monic UPoly values, checked by division over Q."""
+    polys = list(fs)
+    for f in polys:
+        if f is None or f.is_zero:
+            raise ZeroInputError("coprime basis of a family containing zero")
+    basis: list[tuple[UPoly, list[int]]] = []
+    for k, f in enumerate(polys):
+        if f.is_constant:
+            continue
+        for part, i in fraction_squarefree_decompose(f).parts:
+            rest = part
+            refined: list[tuple[UPoly, list[int]]] = []
+            for b, row in basis:
+                d, b_left, rest_left = gcd_cofactors(b, rest)
+                if d.is_constant:
+                    refined.append((b, row))
+                    continue
+                if not b_left.is_constant:
+                    refined.append((b_left, row))
+                d_row = row.copy()
+                d_row[k] += i
+                refined.append((d, d_row))
+                rest = rest_left
+            if not rest.is_constant:
+                row = [0] * len(polys)
+                row[k] = i
+                refined.append((rest, row))
+            basis = refined
+    basis.sort(key=lambda element: element[0].sort_key())
+    exponents = [[row[k] for _, row in basis] for k in range(len(polys))]
+    for f, exps in zip(polys, exponents):
+        prod = UPoly.one()
+        for (b, _), e in zip(basis, exps):
+            prod = prod * b ** e
+        q, r = divmod(f, prod)
+        if r or not q.is_constant or q.is_zero:
+            raise RuntimeError("coprime basis reconstruction failed")
+    return [b for b, _ in basis], exponents
+
+
+def expand(decomp: SqfDecomp) -> UPoly:
+    """unit * prod(factor^multiplicity) of a squarefree decomposition."""
+    out = UPoly.constant(decomp.unit)
+    for factor, mult in decomp.parts:
+        out = out * factor ** mult
+    return out
+
+
+def radical(f: UPoly) -> UPoly:
+    """Monic product of the distinct squarefree factors of f."""
+    out = UPoly.one()
+    for factor, _ in squarefree_decompose(f).parts:
+        out = out * factor
+    return out
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([()+\-*/^]))")
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of text, matched one at a time from the left."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        if match is None:
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            bad = pos + len(rest) - len(rest.lstrip())
+            raise ExprSyntaxError(f"unexpected character {text[bad]!r}",
+                                  position=bad)
+        if match.group(1) is not None:
+            tokens.append(Token("int", match.group(1), match.start(1)))
+        elif match.group(2) is not None:
+            tokens.append(Token("name", match.group(2), match.start(2)))
+        else:
+            op = match.group(3)
+            tokens.append(Token(op, op, match.start(3)))
+        pos = match.end()
+    return tokens
+
+
+class RatFuncParser:
+    """The expression grammar of sqrat.parsing, evaluated node by node in RatFunc.
+
+    Same grammar, nesting limit and errors as the library parser, without
+    its cost budget; tokens are matched one at a time.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.index = 0
+        self.depth = 0
+
+    def peek(self):
+        if self.index < len(self.tokens):
+            return self.tokens[self.index]
+        return None
+
+    def advance(self):
+        tok = self.peek()
+        if tok is None:
+            raise ExprSyntaxError("unexpected end of input",
+                                  position=len(self.text))
+        self.index += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            pos = tok.position if tok else len(self.text)
+            raise ExprSyntaxError(f"expected {kind!r}", position=pos)
+        return self.advance()
+
+    def parse(self) -> RatFunc:
+        if not self.tokens:
+            raise ExprSyntaxError("expected an expression", position=0)
+        value = self.expr()
+        leftover = self.peek()
+        if leftover is not None:
+            raise ExprSyntaxError(f"unexpected {leftover.text!r}",
+                                  position=leftover.position)
+        return value
+
+    def expr(self) -> RatFunc:
+        value = self.term()
+        while (tok := self.peek()) is not None and tok.kind in "+-":
+            self.advance()
+            rhs = self.term()
+            value = value + rhs if tok.kind == "+" else value - rhs
+        return value
+
+    def term(self) -> RatFunc:
+        value = self.unary()
+        while (tok := self.peek()) is not None and tok.kind in "*/":
+            self.advance()
+            rhs = self.unary()
+            if tok.kind == "*":
+                value = value * rhs
+            else:
+                if rhs.is_zero:
+                    raise DivisionByZeroExpressionError(
+                        "denominator is identically zero",
+                        position=tok.position)
+                value = value / rhs
+        return value
+
+    def unary(self) -> RatFunc:
+        tok = self.peek()
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nested too deeply (limit {MAX_NESTING})",
+                position=tok.position if tok else len(self.text))
+        self.depth += 1
+        if tok is not None and tok.kind == "-":
+            self.advance()
+            value = -self.unary()
+        else:
+            value = self.power()
+        self.depth -= 1
+        return value
+
+    def power(self) -> RatFunc:
+        base = self.atom()
+        tok = self.peek()
+        if tok is not None and tok.kind == "^":
+            self.advance()
+            exponent = self.unary()
+            if not exponent.is_constant:
+                raise ExprSyntaxError("exponent must be a constant",
+                                      position=tok.position)
+            value = exponent.as_fraction
+            if value.denominator != 1:
+                raise ExprSyntaxError(
+                    "exponent must be a nonnegative integer",
+                    position=tok.position)
+            if value < 0:
+                raise NegativeExponentError(
+                    "negative exponents are not allowed",
+                    position=tok.position)
+            n = int(value)
+            if n > MAX_EXPONENT:
+                raise ExprSyntaxError(
+                    f"exponent too large (limit {MAX_EXPONENT})",
+                    position=tok.position)
+            return base ** n
+        return base
+
+    def atom(self) -> RatFunc:
+        tok = self.advance()
+        if tok.kind == "int":
+            return RatFunc(int(tok.text))
+        if tok.kind == "name":
+            if tok.text == "x":
+                return RatFunc(UPoly.x())
+            raise UnsupportedVariableError(
+                f"variable {tok.text!r} not supported: multivariate input "
+                "is out of scope (only x)",
+                position=tok.position)
+        if tok.kind == "(":
+            value = self.expr()
+            self.expect(")")
+            return value
+        raise ExprSyntaxError(f"unexpected {tok.text!r}",
+                              position=tok.position)
+
+
+def ratfunc_parse_expr(text: str) -> RatFunc:
+    """parse_expr as evaluated entirely in RatFunc."""
+    return RatFuncParser(text).parse()

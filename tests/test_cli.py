@@ -11,6 +11,7 @@ import pytest
 
 import sqrat
 from conftest import DEEP_INPUT_IDS, DEEP_INPUTS
+from sqrat import cli
 from sqrat.cli import main
 
 SCHEMA = json.loads(
@@ -208,3 +209,43 @@ def test_main_reused_in_one_process(capsys):
     for _ in range(3):
         for argv, expected in zip(REPEATED, fresh):
             assert run(capsys, argv) == expected
+
+
+
+def _raise(error):
+    def broken(*args, **kwargs):
+        raise error
+    return broken
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("error", [
+        RuntimeError("coprime basis reconstruction failed"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError("out of memory"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["decide", "x", "x+1"],
+        ["genus", "x^3-x"],
+        ["minpoly", "x", "x+1"],
+        ["scan", "--trials", "1"],
+    ])
+    def test_exit_2_with_message(self, capsys, monkeypatch, argv, error):
+        for stage in ("build_branch_table", "minpoly_multiquadratic",
+                      "conjecture_scan"):
+            monkeypatch.setattr(cli, stage, _raise(error))
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "x", "x+1", "--debug"],
+        ["scan", "--trials", "1", "--debug"],
+    ])
+    def test_debug_reraises(self, monkeypatch, argv):
+        monkeypatch.setattr(cli, "build_branch_table",
+                            _raise(RuntimeError("invariant broken")))
+        monkeypatch.setattr(cli, "conjecture_scan",
+                            _raise(RuntimeError("invariant broken")))
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            main(argv)

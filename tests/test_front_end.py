@@ -1,0 +1,206 @@
+"""The integer front end against its Fraction-based references.
+
+squarefree_decompose and coprime_basis run on primitive integer
+coefficient lists, and parse_expr evaluates in UPoly; tests/oracles.py
+keeps the versions over Q and the RatFunc evaluator they replaced.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import upolys
+from oracles import (
+    fraction_coprime_basis,
+    fraction_squarefree_decompose,
+    ratfunc_parse_expr,
+)
+from sqrat import parsing, poly
+from sqrat.errors import ParseError
+from sqrat.parsing import parse_expr
+from sqrat.poly import UPoly, coprime_basis, squarefree_decompose
+
+X = UPoly.x()
+
+SCALES = [1, -1, 6, -4, Fraction(3, 7), Fraction(-1, 12), 1 << 80]
+
+
+@st.composite
+def factored(draw):
+    """Rational, non-primitive, negative-leading or constant polynomials
+    with repeated factors, one of them up to multiplicity 70."""
+    f = UPoly.constant(draw(st.sampled_from(SCALES)))
+    for _ in range(draw(st.integers(0, 3))):
+        f = f * draw(upolys(2, nonzero=True)) ** draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        f = f * draw(upolys(1, nonzero=True)) ** draw(st.integers(1, 70))
+    return f
+
+
+families = st.lists(factored(), min_size=1, max_size=4)
+
+
+@given(factored())
+@settings(max_examples=120, deadline=None)
+def test_squarefree_matches_fraction_yun(f):
+    assert squarefree_decompose(f) == fraction_squarefree_decompose(f)
+
+
+@given(families)
+@settings(max_examples=60, deadline=None)
+def test_coprime_basis_matches_fraction_basis(fs):
+    assert coprime_basis(fs) == fraction_coprime_basis(fs)
+
+
+@given(families)
+@settings(max_examples=30, deadline=None)
+def test_euclid_fallback_gives_the_same_results(fs):
+    expected = fraction_coprime_basis(fs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
+        assert coprime_basis(fs) == expected
+        assert [squarefree_decompose(f) for f in fs] == [
+            fraction_squarefree_decompose(f) for f in fs]
+
+
+@pytest.mark.parametrize("f,g", [
+    ([8, 1], [8, 7, 9]),
+    ([5, 10, 10, -6, 1], [9, 1]),
+    ([6, -4, 10, -9, 8], [6, -3, -10, 4, 8]),
+])
+def test_unlucky_evaluation_point_in_the_basis(monkeypatch, f, g):
+    # the first evaluation point proposes a false common factor
+    fs = [UPoly(f), UPoly(g) ** 2]
+    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 1)
+    assert coprime_basis(fs) == fraction_coprime_basis(fs)
+
+
+@pytest.mark.parametrize("fs", [
+    [UPoly.constant(-3)],
+    [-(X - 1) ** 70 * (X + 2)],
+    [Fraction(-2, 3) * X ** 2, UPoly.constant(5), (X ** 2 - 1) ** 3],
+    [-7 * (X ** 4 - 1) ** 2, 6 * (X ** 2 - 1) ** 5, -(X - 1) ** 11],
+])
+def test_fixed_families(fs):
+    assert coprime_basis(fs) == fraction_coprime_basis(fs)
+    assert [squarefree_decompose(f) for f in fs] == [
+        fraction_squarefree_decompose(f) for f in fs]
+
+
+@given(families)
+@settings(max_examples=20, deadline=None)
+def test_coprime_basis_against_sympy_factor_list(fs):
+    """Each basis element is a product of distinct irreducible factors that
+    all have the element's exponents, and together they are all of them."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(p.coeffs)], x, domain="QQ")
+
+    def irreducible_factors(p):
+        return [(q.monic(), m) for q, m in sympy.factor_list(to_sympy(p))[1]]
+
+    expected = {}
+    for k, f in enumerate(fs):
+        for q, m in irreducible_factors(f):
+            expected.setdefault(q, [0] * len(fs))[k] = m
+    basis, exponents = coprime_basis(fs)
+    seen = {}
+    for j, b in enumerate(basis):
+        column = [row[j] for row in exponents]
+        for q, m in irreducible_factors(b):
+            assert m == 1 and q not in seen
+            seen[q] = column
+    assert seen == expected
+
+
+def test_reconstruction_check_rejects_wrong_exponents(monkeypatch):
+    # an integer Yun that reports every multiplicity one too high
+    original = poly._int_squarefree
+
+    def inflated(f):
+        return [(p, i + 1) for p, i in original(f)]
+
+    monkeypatch.setattr(poly, "_int_squarefree", inflated)
+    with pytest.raises(RuntimeError, match="reconstruction failed"):
+        coprime_basis([(X - 1) ** 2 * (X + 3)])
+
+
+def test_fallback_cofactors_are_checked_integral(monkeypatch):
+    original = poly._euclid_gcd_cofactors
+
+    def thirds(a, b):
+        g, ca, cb = original(a, b)
+        return g, ca / 3, cb
+
+    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
+    monkeypatch.setattr(poly, "_euclid_gcd_cofactors", thirds)
+    with pytest.raises(RuntimeError, match="not integral"):
+        squarefree_decompose((X - 1) ** 2 * (X + 1))
+
+
+# -- the parser against the RatFunc evaluator ---------------------------------
+
+leaves = st.sampled_from(["x", "0", "1", "2", "3", "12", "(x-x)", "y"])
+exponents = st.sampled_from(["0", "1", "2", "3", "(4/2)", "-1", "(1/2)", "x",
+                             "(x-x)", "(2-2)"])
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map("".join),
+        children.map(lambda c: f"({c})"),
+        children.map(lambda c: f"-{c}"),
+        st.tuples(children, exponents).map("^".join),
+    )
+
+
+expressions = st.tuples(
+    st.recursive(leaves, _combine, max_leaves=10),
+    st.sampled_from(["", "", "", "+", ")", "(", "^^2", " 2", "*"]),
+).map("".join)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the error class and message, position included
+        return type(exc), str(exc)
+
+
+@given(expressions)
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_ratfunc_evaluator(text):
+    assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)
+
+
+@given(expressions)
+@settings(max_examples=200, deadline=None)
+def test_value_within_its_bound(text):
+    try:
+        value = parse_expr(text)
+    except ParseError:
+        return
+    bound = parsing._Parser(text).expr().bound
+    assert (value.num.degree or 0) <= bound.num_degree
+    assert value.den.degree <= bound.den_degree
+
+
+@given(st.text(alphabet="x0123456789+-*/^() \t\n\u00a0\u00b2\u0663.#$yzé_", max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_on_junk(text):
+    assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)
+
+
+@pytest.mark.parametrize("text", [
+    "x/2", "(x^2-1)/3*x", "6/4", "1/(1/2)", "x^(4/2)", "2^-1", "x/(x-x)",
+    "(x+1)/(x+1)", "x/(x+1)*(x+1)", "(1/x)^3*x^3", "(x-1)/x^2 + 1/x",
+    "2^3^2", "0^0", "x^0", "(0)^3", "-x^2", "x - - 1", "((x))",
+    "3/(x-x+2)", "1/(x^2-1) - 1/(x-1)", "(2*x+1)^5/(4*x+2)^2",
+])
+def test_parser_fixed_cases(text):
+    assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)

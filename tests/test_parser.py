@@ -1,9 +1,12 @@
 """Expression grammar, radicand files, robustness on arbitrary input."""
 
 import random
+import time
+from math import prod
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEEP_INPUT_IDS, DEEP_INPUTS, ratfuncs
 from sqrat.errors import (
@@ -15,7 +18,15 @@ from sqrat.errors import (
     UnsupportedVariableError,
     ZeroRadicandError,
 )
-from sqrat.parsing import MAX_NESTING, parse_expr, parse_radicand_file
+from sqrat.cli import main
+from sqrat.parsing import (
+    MAX_COEFF_BITS,
+    MAX_DEGREE,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    parse_expr,
+    parse_radicand_file,
+)
 from sqrat.poly import RatFunc, UPoly
 
 X = UPoly.x()
@@ -141,3 +152,113 @@ class TestRobustness:
                 parse_expr(text)
             except ParseError:
                 pass
+
+
+# every base has degree >= 1 or a 1-norm bound of at least 2^2 (for
+# numerator or denominator), so a power of it with exponent product above
+# MAX_DEGREE is over the budget
+BUDGET_BASES = ["x", "3", "(x+1)", "(2*x-3)", "(x^2+x+1)", "12345", "(x/3+1)",
+                "(5/7)", "(1/2+1/3)", "(x+1/2)", "(1/x+1)", "(x/(x+1)+1/(x-2))"]
+BIG_FACTORS = ["x", "(x+1)", "x^4096", "(x^2+1)^2048", "2^4096", "(3*x-1)^1000",
+               "x^5/7", "(x+1)^4096", "1/(x+1)", "(x+1/2)", "(1/x+1/(x+2))",
+               "(x-1)^9/(x+3)^7"]
+
+
+@st.composite
+def towers(draw):
+    text = draw(st.sampled_from(BUDGET_BASES))
+    exps = draw(st.lists(st.integers(2, MAX_EXPONENT), min_size=2, max_size=5)
+                .filter(lambda es: prod(es) > MAX_DEGREE))
+    if draw(st.booleans()):
+        for e in exps:
+            text = f"({text})^{e}"
+    else:  # right-associative: the exponent itself is a tower
+        text += "".join(f"^{e}" for e in exps)
+    return text
+
+
+@st.composite
+def long_products(draw):
+    factors = draw(st.lists(st.sampled_from(BIG_FACTORS), min_size=1, max_size=4))
+    return "*".join(factors[i % len(factors)] for i in range(MAX_DEGREE + 1))
+
+
+@st.composite
+def fraction_sums(draw):
+    # denominators multiply in a sum, so its degree and bits add up
+    count = draw(st.integers(2, 40))
+    start = draw(st.integers(1, 50))
+    if draw(st.booleans()):
+        terms = [f"1/(x+{k})" for k in range(start, start + count)]
+        exponent = MAX_DEGREE // count + 1
+    else:
+        terms = ["x"] + [f"1/{k}" for k in range(start + 1, start + count)]
+        exponent = MAX_COEFF_BITS // count + 1
+    return "(" + "+".join(terms) + f")^{exponent}"
+
+
+class TestCostBudget:
+    @given(st.one_of(towers(), long_products(), fraction_sums()))
+    @settings(max_examples=40, deadline=None)
+    def test_over_budget_is_a_parse_error_within_a_second(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ParseError):
+            parse_expr(text)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("text", [
+        "((x+1)^4096)^4096", "((2^4096)^4096)^4096", "x^4096*x",
+        "(x^2+1)^2048*(x^2+1)^2048*(x^2+1)",
+    ])
+    def test_cli_exits_2(self, capsys, text):
+        assert main(["decide", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: at position") and "too large" in err
+
+    def test_error_at_the_operator(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("((x+1)^4096)^2")
+        assert info.value.position == 12
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr("x^4000 * x^97")
+        assert info.value.position == 7
+
+    @pytest.mark.parametrize("text,position", [
+        # a sum of rational functions: degree 51,200 once raised to 512
+        ("(" + "+".join(f"1/(x+{k})" for k in range(1, 101)) + ")^512", 893),
+        # coefficients of about 560k bits once raised to 390; the sum's own
+        # denominator passes the budget at the term 1/921
+        ("(x+" + "+".join(f"1/{k}" for k in range(2, 1001)) + ")^390", 5410),
+    ], ids=["rational-functions", "fractions"])
+    def test_sums_of_fractions(self, text, position):
+        start = time.perf_counter()
+        with pytest.raises(ExprSyntaxError, match="too large") as info:
+            parse_expr(text)
+        assert time.perf_counter() - start < 1.0
+        assert info.value.position == position
+        assert text[position] in "^+"
+
+    def test_integer_literals(self):
+        assert parse_expr(str(2 ** MAX_COEFF_BITS)) == RatFunc(2 ** MAX_COEFF_BITS)
+        assert parse_expr("0" * 5000 + "7") == RatFunc(7)
+        for text in [str(2 ** MAX_COEFF_BITS + 1), "9" * 5000, "x+" + "9" * 10**5]:
+            with pytest.raises(ExprSyntaxError, match="integer too large"):
+                parse_expr(text)
+
+    @pytest.mark.parametrize("text", [
+        "(x+1)^4096", "((x+1)^64)^64", "2^4096", "x^4096", "(x^2+1)^2048",
+        "(1/(x+1)+1/(x+2))^2048", "(x+1/2+1/3)^1024",
+    ])
+    def test_budget_admits(self, text):
+        # the trailing error is reached only once the budget admitted the
+        # power, and no power is computed before the whole text is read
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedVariableError):
+            parse_expr(text + " + y")
+        assert time.perf_counter() - start < 1.0
+
+    def test_limits(self):
+        assert MAX_DEGREE >= MAX_EXPONENT
+        assert parse_expr("x^4096").num.degree == 4096
+        assert parse_expr("2^4096") == RatFunc(2 ** 4096)
+        assert MAX_COEFF_BITS >= 2 * MAX_EXPONENT  # (x+1/2)^4096: bound 2^(2*4096)
