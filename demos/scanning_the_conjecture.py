@@ -1,12 +1,13 @@
-"""Searching for counterexamples to the subset-product criterion.
+"""Checking the subset-product criterion against the genus decision.
 
-Conjecturally, a set of square roots is rationalizable exactly when every
-nonempty subset product has squarefree class degree at most 2.  One
-direction is proven (a rationalizing substitution for the set rationalizes
-every subset product); the other is open.  The scan draws random families,
-compares the criterion with the exact genus decision, and records any
-disagreement verbatim: an entry would be a publishable counterexample, so
-the expected count is zero, reported rather than asserted.
+A set of square roots is rationalizable exactly when every nonempty subset
+product has squarefree class degree at most 2.  One direction holds because
+a rationalizing substitution for the set rationalizes every subset product;
+for univariate radicands the converse is proven in the docstring of
+sqrat.decide.  The scan draws random families, compares the criterion with
+the exact genus decision, and records any disagreement verbatim: the
+expected count is zero, reported rather than asserted, and an entry would
+point at a bug.
 """
 
 from sqrat import ScanParams, conjecture_scan, scan_trial_outcome, parse_expr

@@ -17,7 +17,7 @@ Main entry points:
     cyclic_cover_genus                   genus computations
     greedy_rationalize, verify_witness   explicit substitutions
     minpoly_multiquadratic               primitive element minimal polynomial
-    conjecture_scan                      randomized counterexample search
+    conjecture_scan                      random check of the subset criterion
 
 The `sqrat` command line exposes the same operations.
 """

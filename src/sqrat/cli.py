@@ -35,12 +35,7 @@ from .genus import CoverSpec, cyclic_cover_genus, multiquadratic_genus_summary
 from .lattice import branch_count, build_branch_table, reduced_generators_scaled
 from .parsing import RadicandSpec, parse_expr, parse_radicand_file
 from .poly import RatFunc
-from .rationalize import (
-    Witness,
-    greedy_rationalize,
-    minpoly_multiquadratic,
-    verify_witness,
-)
+from .rationalize import Witness, greedy_rationalize, minpoly_multiquadratic
 from .resultants import zp_to_str
 
 SCAN_DISAGREEMENTS_FILE = "scan-disagreements.json"
@@ -211,18 +206,16 @@ def cmd_rationalize(args) -> int:
     specs = _load_radicands(args)
     _require_square_roots(specs, "rationalize")
     inputs = [s.text for s in specs]
-    rads = [s.expr for s in specs]
     report = {"command": "rationalize", "inputs": inputs,
               "version": __version__}
-    witness = greedy_rationalize(rads)
+    witness = greedy_rationalize([s.expr for s in specs])
     if witness is None:
         report.update(witness=None, accepted=False)
         _emit(report, ["witness: unknown (greedy construction gave up)"],
               args.as_json)
         return 1
-    ok, defects = verify_witness(rads, witness)
-    exact = ok and not defects
-    accepted = exact or (ok and args.allow_constant_defect)
+    exact = not witness.has_defects
+    accepted = exact or args.allow_constant_defect
     report.update(witness=_witness_json(witness), accepted=accepted)
     human = [f"witness: x -> {witness.phi.to_str('t')}"]
     for text, root, defect in zip(inputs, witness.roots, witness.defects):

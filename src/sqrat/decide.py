@@ -9,12 +9,23 @@ algebraically closed constant field a genus-zero curve has a point, so
 genus zero is both necessary and sufficient.  Higher-order single roots
 use the cyclic cover genus the same way.
 
-The subset criterion checks the proven necessary condition: if a set is
-rationalizable then every nonempty subset product must have squarefree
-class degree at most 2.  Whether the condition is also sufficient is an
-open conjecture; conjecture_scan searches random families for
-disagreements between the criterion and the exact genus decision and
-reports them without judging.
+The subset criterion asks that every nonempty subset product have
+squarefree class degree at most 2.  For univariate input it holds exactly
+when the genus is zero.  Necessity: each quadratic subcover z^2 = g of a
+genus zero curve has genus zero, so deg g <= 2.  Sufficiency, the lemma:
+let the classes span a group of rank r and let the cover branch at B
+points.  Subset products run over the whole span, so under the criterion
+each of its 2^r - 1 nonzero classes g has degree 1 or 2 and hence exactly
+2 branch points (its roots, plus infinity when deg g = 1).  A branch point
+p ramifies in the class g exactly when g has odd order at p, a nonzero
+linear condition on g, so p ramifies in 2^(r-1) of the nonzero classes.
+Counting pairs (p, g) gives B * 2^(r-1) = 2 * (2^r - 1).  For r >= 3 the
+left side is divisible by 4 and the right side is not, so r <= 2 and
+(r, B) is (0, 0), (1, 2) or (2, 3); Riemann-Hurwitz,
+2g - 2 = -2^(r+1) + B * 2^(r-1), then gives genus 0 in each case.
+conjecture_scan, named for when the converse was open, compares the two
+on random families and so serves as a regression oracle: a disagreement
+is recorded, not raised, and points at a bug.
 
 Both questions are read off the same branch table, so a request that asks
 both (a scan trial, the CLI's decide) builds the table once and passes it
@@ -180,7 +191,7 @@ class ScanParams:
 
 @dataclass
 class ScanReport:
-    """Outcome of a deterministic scan for conjecture counterexamples."""
+    """Outcome of a deterministic scan of the criterion against the genus."""
 
     seed: int
     trials: int
@@ -233,15 +244,16 @@ def scan_trial_outcome(radicands: Sequence[RatFunc | UPoly]) -> dict:
 
 def conjecture_scan(seed: int, trials: int,
                     params: ScanParams | None = None) -> ScanReport:
-    """Deterministic random search for subset-criterion counterexamples.
+    """Deterministic random comparison of the subset criterion and the genus.
 
     Each trial draws m in [2, max_m] radicands, every radicand a product of
     at most max_factors monic linear or quadratic factors with integer
     coefficients in [-coeff_bound, coeff_bound].  Per-trial RNG streams are
     derived from (seed, trial index), so the report is reproducible
     regardless of evaluation order.  Disagreements (criterion passes but
-    the genus is positive, or vice versa) are recorded verbatim: any entry
-    is a candidate counterexample to the conjecture, not an error.
+    the genus is positive, or vice versa) are recorded verbatim.  By the
+    lemma in the module docstring there are none on univariate input, so
+    any entry reports a bug in one of the two computations.
     """
     if params is None:
         params = ScanParams()

@@ -5,9 +5,9 @@ x -> phi(t) such that every radicand becomes a perfect square, together
 with the square roots themselves.  Construction is greedy: repeatedly pick
 a radicand whose current square class has degree at most 2, kill it with a
 linear or conic parametrization, push the substitution through the rest,
-and repeat.  When no class of degree <= 2 remains, one round of lattice
-reduction replaces the working family by reduced generators before giving
-up.  The greedy construction is deliberately incomplete: the decision
+and repeat.  On a genus zero family every step keeps the genus at zero,
+so the only way to give up there is a conic step that finds no rational
+point: the greedy construction is deliberately incomplete, the decision
 module stays authoritative, and a genus zero family may still come back
 as unknown here.
 
@@ -34,21 +34,14 @@ from .errors import (
     NoRationalPointFoundError,
     WrongDegreeError,
 )
-from .lattice import (
-    _coerce_radicands,
-    build_branch_table,
-    gf2_eliminate,
-    reduced_generators_scaled,
-)
+from .lattice import _coerce_radicands, build_branch_table, gf2_eliminate
 from .poly import (
     RatFunc,
-    SquareOverC,
     SquareOverQ,
     UPoly,
     fraction_sqrt,
     is_square,
     square_class,
-    squarefree_part,
     substitute,
 )
 from .resultants import (
@@ -81,20 +74,13 @@ class Witness:
         return any(d != 1 for d in self.defects)
 
 
-def _class_rep(f: RatFunc) -> tuple[Fraction, UPoly]:
-    """Constant and monic squarefree part: f = c * g * h^2."""
-    c, g, _ = square_class(f)
-    return c, g
-
-
 def rationalize_linear(f: RatFunc | UPoly) -> RatFunc:
     """Substitution sending a class-degree-1 radicand to a perfect square.
 
     With f = c*(x + b)*h^2 the image x -> (t^2 - c*b)/c maps the scaled
     representative c*x + c*b to t^2, hence f itself to a square over Q.
     """
-    f = RatFunc(f) if isinstance(f, UPoly) else f
-    c, g = _class_rep(f)
+    c, g, _ = square_class(f)
     if g.degree != 1:
         raise WrongDegreeError("squarefree class must have degree 1")
     b = g.coeff(0)
@@ -120,8 +106,7 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
     a parametrization always exists; the decision module, not this one, is
     the authority on rationalizability.
     """
-    f = RatFunc(f) if isinstance(f, UPoly) else f
-    cc, g = _class_rep(f)
+    cc, g, _ = square_class(f)
     if g.degree != 2:
         raise WrongDegreeError("squarefree class must have degree 2")
     a = cc
@@ -184,52 +169,48 @@ def greedy_rationalize(radicands: Sequence[RatFunc | UPoly]) -> Witness | None:
     """Sequentially rationalize a family; None means unknown, never a lie.
 
     Picks the remaining radicand of smallest class degree (ties by index),
-    requires that degree to be 1 or 2, composes the step substitution into
-    the accumulated one and transforms the rest.  If every remaining class
-    has degree > 2 the family is replaced once by its reduced generators;
-    if that does not help, or a conic step finds no rational point, gives
-    up.  A returned witness has been verified symbolically.
+    kills it with a linear or conic step, composes the step into the
+    accumulated substitution and transforms the rest.
+
+    A step x -> s(t) has degree 2 and makes its target f_i a square, so
+    Q(t) = Q(x, sqrt(f_i)): the transformed family generates the same
+    compositum, and a genus zero family stays genus zero.  Every class of a
+    genus zero family has degree <= 2 (the lemma in the decide module), so
+    a smallest class degree above 2 means positive genus, where no witness
+    exists, and on genus zero only a conic step that finds no rational
+    point gives up.  The working family is the radicands substituted into
+    the composed substitution, so once no class is left the roots are read
+    off its square classes c * h^2.  A returned witness has been verified
+    symbolically.
     """
     rads = _coerce_radicands(radicands)
     phi = RatFunc.x()
     targets = list(rads)
-    reduced_already = False
     while True:
-        live = []
-        for i, g in enumerate(targets):
-            d = squarefree_part(g).degree
-            if d >= 1:
-                live.append((d, i))
+        classes = [square_class(g) for g in targets]
+        live = [(g.degree, i) for i, (_, g, _) in enumerate(classes)
+                if g.degree >= 1]
         if not live:
             break
-        attackable = [(d, i) for d, i in live if d <= 2]
-        if not attackable:
-            if reduced_already:
-                return None
-            reduced_already = True
-            table = build_branch_table([targets[i] for _, i in live])
-            targets = [RatFunc(g) for g in reduced_generators_scaled(table)]
-            continue
-        d, i = min(attackable)
+        d, i = min(live)
+        if d > 2:
+            return None
         try:
             step = rationalize_linear(targets[i]) if d == 1 else rationalize_conic(targets[i])
         except NoRationalPointFoundError:
             return None
         phi = substitute(phi, step)
         targets = [substitute(g, step) for g in targets]
-        reduced_already = False
     roots = []
     defects = []
-    for f in rads:
-        result = is_square(substitute(f, phi))
-        if isinstance(result, SquareOverQ):
-            roots.append(result.root)
-            defects.append(Fraction(1))
-        elif isinstance(result, SquareOverC):
-            roots.append(result.root)
-            defects.append(result.defect)
+    for c, _, h in classes:
+        root_c = fraction_sqrt(c)
+        if root_c is None:
+            roots.append(h)
+            defects.append(c)
         else:
-            return None  # soundness guard; greedy must not fabricate
+            roots.append(root_c * h)
+            defects.append(Fraction(1))
     witness = Witness(phi=phi, roots=tuple(roots), defects=tuple(defects))
     ok, _ = verify_witness(rads, witness)
     if not ok:

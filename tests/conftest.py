@@ -60,3 +60,18 @@ def random_factored_poly(rng: random.Random, max_factors: int = 3,
             out = out * UPoly((rng.randint(-bound, bound),
                                rng.randint(-bound, bound), 1))
     return out
+
+
+RADICAND_CONSTANTS = [Fraction(v) for v in (1, 1, -1, 2, 3, 5, 4, -3)] + [
+    Fraction(1, 2), Fraction(9, 4), Fraction(-5, 6)]
+
+
+def random_rational_family(rng: random.Random, max_m: int = 3) -> list[RatFunc]:
+    """1 to max_m radicands c * P / Q: P of at most two factors, Q = 1 or
+    one factor, and a constant c that is often not a rational square."""
+    family = []
+    for _ in range(rng.randint(1, max_m)):
+        num = random_factored_poly(rng, 2) * rng.choice(RADICAND_CONSTANTS)
+        den = random_factored_poly(rng, 1) if rng.random() < 0.5 else UPoly.one()
+        family.append(RatFunc(num, den))
+    return family

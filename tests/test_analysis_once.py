@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sqrat import lattice, poly
+from sqrat import lattice, poly, rationalize
 from sqrat.cli import main
 from sqrat.decide import decide_set, scan_trial_outcome
 from sqrat.parsing import parse_expr
@@ -85,3 +85,11 @@ def test_no_multiplicity_in_library_paths(multiplicity_calls):
     scan_trial_outcome([parse_expr(t) for t in FAMILY])
     main(["genus", "--root-order", "3", "(x+1)^40*(x-2)^7*(x^2+1)^9"])
     assert multiplicity_calls == []
+
+
+@pytest.mark.parametrize("command", ["decide", "rationalize"])
+def test_one_verification_per_witness(monkeypatch, capsys, command):
+    calls = count_calls(monkeypatch, rationalize, "verify_witness")
+    assert main([command, "x^2-x", "x^2-2*x", "x^2-3*x+2"]) == 0
+    assert "witness: x -> " in capsys.readouterr().out
+    assert len(calls) == 1

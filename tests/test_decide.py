@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_factored_poly, random_poly
+from conftest import random_factored_poly, random_poly, random_rational_family
 from sqrat import decide
 from sqrat.decide import (
     NOT_RATIONALIZABLE,
@@ -164,6 +164,18 @@ class TestSubsetCriterion:
         with pytest.raises(TypeError):
             subset_criterion(family + ["x"])
         assert built == []
+
+    def test_passes_iff_genus_zero(self):
+        # the lemma in the decide module: under the criterion every class
+        # has 2 branch points, which forces rank <= 2 and B in {0, 2, 3}
+        rng = random.Random(40)
+        for _ in range(300):
+            fam = random_rational_family(rng)
+            v = decide_set(fam, attach_witness=False)
+            passes, _ = subset_criterion(fam)
+            assert passes == (v.genus == 0)
+            if v.genus == 0:
+                assert v.rank <= 2 and v.branch_count in (0, 2, 3)
 
     def test_matches_naive_product_enumeration(self):
         rng = random.Random(18)

@@ -179,8 +179,11 @@ def towers(draw):
 
 @st.composite
 def long_products(draw):
+    # each factor but 2^4096 adds at least 1 to deg N + deg D, so 2*MAX_DEGREE+1
+    # of them pass MAX_DEGREE on one side even when numerators and
+    # denominators alternate, as in x*1/(x+1)*x*...
     factors = draw(st.lists(st.sampled_from(BIG_FACTORS), min_size=1, max_size=4))
-    return "*".join(factors[i % len(factors)] for i in range(MAX_DEGREE + 1))
+    return "*".join(factors[i % len(factors)] for i in range(2 * MAX_DEGREE + 1))
 
 
 @st.composite

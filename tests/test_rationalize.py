@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_factored_poly, random_poly
+from conftest import random_factored_poly, random_poly, random_rational_family
+from sqrat import rationalize
 from sqrat.decide import RATIONALIZABLE, decide_set
 from sqrat.errors import (
     DependentGeneratorsError,
@@ -17,6 +18,7 @@ from sqrat.errors import (
 )
 from sqrat.poly import (
     RatFunc,
+    SquareOverC,
     SquareOverQ,
     UPoly,
     fraction_sqrt,
@@ -173,16 +175,44 @@ class TestGreedy:
         assert ok and not defects
 
     def test_reduction_fallback(self):
-        # both classes have degree 4, but their product has degree 2:
-        # only the reduced generators make this family attackable
+        # both classes and their product x(x-3)(x-4)(x-5) have degree 4:
+        # rank 2, 6 branch points, genus 3, so no class is attackable and
+        # no witness exists
         f1 = RatFunc(X * (X - 1) * (X - 2) * (X - 3))
         f2 = RatFunc((X - 1) * (X - 2) * (X - 4) * (X - 5))
         fam = [f1, f2]
-        if decide_set(fam, attach_witness=False).status == RATIONALIZABLE:
+        assert decide_set(fam, attach_witness=False).genus == 3
+        assert greedy_rationalize(fam) is None
+
+    def test_genus_zero_gives_up_only_at_a_conic(self, monkeypatch):
+        # a genus zero family stays genus zero under every step, so all its
+        # classes keep degree <= 2: only a failed point search gives up
+        failures = []
+        conic = rationalize.rationalize_conic
+
+        def counting_conic(f):
+            try:
+                return conic(f)
+            except NoRationalPointFoundError:
+                failures.append(f)
+                raise
+
+        monkeypatch.setattr(rationalize, "rationalize_conic", counting_conic)
+        rng = random.Random(41)
+        seen = gave_up = 0
+        while seen < 60:
+            fam = random_rational_family(rng)
+            if decide_set(fam, attach_witness=False).genus != 0:
+                continue
+            seen += 1
+            before = len(failures)
             w = greedy_rationalize(fam)
-            assert w is None or verify_witness(fam, w)[0]
-        else:
-            assert greedy_rationalize(fam) is None
+            if w is None:
+                gave_up += 1
+                assert len(failures) == before + 1
+            else:
+                assert len(failures) == before
+        assert gave_up > 0
 
     def test_constant_defects_recorded(self):
         fam = [RatFunc(5), RatFunc(X)]
@@ -204,10 +234,13 @@ class TestGreedy:
                 assert v.status == RATIONALIZABLE
 
     def test_roots_substitute_back_exactly(self):
+        # the roots are read off the working family; they are exactly what
+        # is_square finds in each radicand substituted into phi
         rng = random.Random(34)
-        for _ in range(30):
-            fam = [RatFunc(random_factored_poly(rng, 2))
-                   for _ in range(rng.randint(1, 2))]
+        families = [[RatFunc(random_factored_poly(rng, 2))
+                     for _ in range(rng.randint(1, 2))] for _ in range(30)]
+        families += [random_rational_family(rng) for _ in range(60)]
+        for fam in families:
             w = greedy_rationalize(fam)
             if w is None:
                 continue
@@ -215,6 +248,11 @@ class TestGreedy:
                 image = substitute(f, w.phi)
                 assert image - RatFunc(UPoly.constant(defect)) * root * root \
                     == RatFunc(0)
+                found = is_square(image)
+                if defect == 1:
+                    assert found == SquareOverQ(root)
+                else:
+                    assert found == SquareOverC(defect=defect, root=root)
 
 
 class TestVerifyWitness:
