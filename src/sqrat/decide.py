@@ -27,6 +27,35 @@ conjecture_scan, named for when the converse was open, compares the two
 on random families and so serves as a regression oracle: a disagreement
 is recorded, not raised, and points at a bug.
 
+The criterion needs no 2^m enumeration.  Subset products multiply classes,
+which XORs their finite parity rows; the weight of a row is its class
+degree, the sum of the degrees of the basis elements in it.
+
+- Three members are enough.  Let V be the span of the rows: the set of
+  XORs of subsets.  If dim V <= 2, a basis of V can be picked among the
+  rows, so every element of V is the XOR of at most 2 rows.  If dim V >= 3,
+  take 3 independent rows.  Each column in the support of their span is
+  set in exactly 4 of the span's 7 nonzero elements, so those 7 weights add
+  up to 4 * w, where w >= 3 is the weight of the support.  If every weight
+  were at most 2, then 4 * w <= 14 forces w = 3, with three columns of
+  weight 1; the span would then be all of GF(2)^3 on those columns and
+  would contain an element of weight 3, a contradiction.  So if any subset
+  fails, some XOR of at most 3 rows fails.
+- First occurrences are enough.  Enumerating by size, then
+  lexicographically, every smaller subset has passed by the time a subset
+  is reached.  Two equal rows cancel, so the rows of the first failing
+  subset are pairwise distinct.  Replacing a member by an earlier index
+  with the same row keeps the subset failing and makes it lexicographically
+  smaller, so the first failing subset uses only the first index of each
+  row, and checking the subsets of first occurrences in the same order
+  returns it.
+- Cost.  With D distinct rows, the check makes O(m + D^2) steps.  A
+  passing family has genus 0, so its rank is at most 2 and D <= 4.  In a
+  failing family, any 5 distinct rows span dimension >= 3 (a plane has
+  only 4 elements) and so contain a failing subset of size <= 3.  Once
+  sizes 1 and 2 have passed, the triples whose least member is among the
+  first 3 rows, about 3 * D^2 / 2 of them, contain one.
+
 Both questions are read off the same branch table, so a request that asks
 both (a scan trial, the CLI's decide) builds the table once and passes it
 to decide_set_table and subset_criterion_table.
@@ -39,7 +68,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import FamilyTooLargeError, InvalidParamsError
+from .errors import InvalidParamsError
 from .genus import (
     CoverSpec,
     cyclic_cover_genus,
@@ -58,8 +87,6 @@ from .rationalize import Witness, greedy_rationalize
 RATIONALIZABLE = "rationalizable"
 NOT_RATIONALIZABLE = "not_rationalizable"
 UNKNOWN = "unknown"
-
-SUBSET_FAMILY_LIMIT = 20
 
 
 @dataclass
@@ -117,6 +144,9 @@ def decide_set_table(table: BranchTable, attach_witness: bool = True) -> Verdict
     summary = branch_count(table)
     g = multiquadratic_genus_summary(summary)
     if g == 0:
+        if (summary.rank, summary.branch_count) not in ((0, 0), (1, 2), (2, 3)):
+            raise RuntimeError(f"genus 0 with rank {summary.rank} and "
+                               f"{summary.branch_count} branch points")
         witness = greedy_rationalize(table.radicands) if attach_witness else None
         return Verdict(status=RATIONALIZABLE, genus=0, rank=summary.rank,
                        branch_count=summary.branch_count, witness=witness)
@@ -128,35 +158,29 @@ def subset_criterion(radicands: Sequence[RatFunc | UPoly]
                      ) -> tuple[bool, Optional[list[int]]]:
     """Check every nonempty subset product for class degree at most 2.
 
-    Subsets are enumerated by size, then lexicographically; the first
-    failing subset is returned as a 0-based index list.  Square classes
-    multiply by XOR of parity rows, so the check runs on the branch table
-    without forming any products.
+    Subsets are ordered by size, then lexicographically; the first failing
+    subset is returned as a 0-based index list.  Square classes multiply
+    by XOR of parity rows, so the check runs on the branch table without
+    forming any products.  By the module docstring only subsets of at most
+    three members with pairwise distinct rows are checked: O(m + D^2) of
+    them for D distinct rows, O(m) when the family passes.  Any family
+    size is accepted.
     """
-    rads = _coerce_radicands(radicands)
-    _check_subset_family_size(len(rads))
-    return subset_criterion_table(build_branch_table(rads))
-
-
-def _check_subset_family_size(m: int) -> None:
-    if m > SUBSET_FAMILY_LIMIT:
-        raise FamilyTooLargeError(
-            f"{m} radicands means 2^{m} subsets; the cap is {SUBSET_FAMILY_LIMIT}"
-        )
+    return subset_criterion_table(build_branch_table(radicands))
 
 
 def subset_criterion_table(table: BranchTable
                            ) -> tuple[bool, Optional[list[int]]]:
     """Same as subset_criterion, from a prebuilt branch table."""
-    m = table.family_size
-    _check_subset_family_size(m)
     degrees = [b.degree for b in table.basis]
-    rows = table.parity_masks(include_infinity=False)
-    for size in range(1, m + 1):
-        for combo in itertools.combinations(range(m), size):
+    first: dict[int, int] = {}
+    for i, row in enumerate(table.parity_masks(include_infinity=False)):
+        first.setdefault(row, i)
+    for size in range(1, min(len(first), 3) + 1):
+        for combo in itertools.combinations(first.items(), size):
             mask = 0
-            for i in combo:
-                mask ^= rows[i]
+            for row, _ in combo:
+                mask ^= row
             class_degree = 0
             j = 0
             while mask:
@@ -165,7 +189,7 @@ def subset_criterion_table(table: BranchTable
                 mask >>= 1
                 j += 1
             if class_degree > 2:
-                return False, list(combo)
+                return False, [i for _, i in combo]
     return True, None
 
 

@@ -48,10 +48,6 @@ class NormalFormViolationError(SqratError):
     """Exponent vector is not in superelliptic normal form."""
 
 
-class FamilyTooLargeError(SqratError):
-    """Subset enumeration is capped (2^m subsets)."""
-
-
 class DependentGeneratorsError(SqratError):
     """Generators are multiplicatively dependent modulo squares."""
 

@@ -474,11 +474,16 @@ class RatFunc:
     def __pow__(self, n: int) -> RatFunc:
         if not isinstance(n, int):
             raise ValueError("exponent must be an integer")
+        num, den = self._num ** abs(n), self._den ** abs(n)
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self._den ** (-n), self._num ** (-n))
-        return RatFunc(self._num ** n, self._den ** n)
+            num, den = den / num.leading, num / num.leading
+        # powers of coprime polynomials are coprime, and a power of a monic
+        # denominator is monic: the result is reduced without a gcd
+        out = RatFunc.__new__(RatFunc)
+        out._num, out._den = num, den
+        return out
 
     def to_str(self, var: str = "x") -> str:
         if self._den.is_one:

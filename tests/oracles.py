@@ -5,13 +5,16 @@ integer coefficient lists, and its parser evaluates in UPoly.  The
 straightforward versions over Q below, with gcd_cofactors on UPoly values
 and a parser that evaluates every node as a RatFunc, are what the tests
 compare those against.  radical and expand are test helpers built on the
-library's own squarefree decomposition.
+library's own squarefree decomposition.  enumerated_subset_criterion is
+the 2^m subset enumeration that the library's criterion, which checks at
+most three distinct parity rows, replaced.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Sequence
+from typing import Optional, Sequence
 
 from sqrat.errors import (
     DivisionByZeroExpressionError,
@@ -20,6 +23,7 @@ from sqrat.errors import (
     UnsupportedVariableError,
     ZeroInputError,
 )
+from sqrat.lattice import BranchTable
 from sqrat.parsing import MAX_EXPONENT, MAX_NESTING, Token
 from sqrat.poly import RatFunc, SqfDecomp, UPoly, gcd_cofactors, squarefree_decompose
 
@@ -256,3 +260,22 @@ class RatFuncParser:
 def ratfunc_parse_expr(text: str) -> RatFunc:
     """parse_expr as evaluated entirely in RatFunc."""
     return RatFuncParser(text).parse()
+
+
+def enumerated_subset_criterion(table: BranchTable
+                                ) -> tuple[bool, Optional[list[int]]]:
+    """The subset criterion over all 2^m subsets, by size, then
+    lexicographically: the first subset whose XOR of finite parity rows has
+    class degree above 2, as a 0-based index list."""
+    m = table.family_size
+    degrees = [b.degree for b in table.basis]
+    rows = table.parity_masks(include_infinity=False)
+    for size in range(1, m + 1):
+        for combo in itertools.combinations(range(m), size):
+            mask = 0
+            for i in combo:
+                mask ^= rows[i]
+            class_degree = sum(d for j, d in enumerate(degrees) if mask >> j & 1)
+            if class_degree > 2:
+                return False, list(combo)
+    return True, None

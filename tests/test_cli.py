@@ -65,6 +65,20 @@ class TestDecideCommand:
         assert report["verdict"] == "not_rationalizable"
         assert report["root_order"] == 3
 
+    @pytest.mark.parametrize("lines, code, failing", [
+        ([f"x-{k}" for k in range(21)], 1, [0, 1, 2]),
+        ([f"{(k + 1) ** 2}*(x-{k % 2})" for k in range(21)], 0, None),
+        ([f"{(k + 1) ** 2}*(x-{k % 3})" for k in range(200)], 1, [0, 1, 2]),
+    ], ids=["21-shifts", "21-passing", "200-failing"])
+    def test_any_family_size_gets_an_answer(self, capsys, tmp_path, lines,
+                                            code, failing):
+        path = tmp_path / "family.txt"
+        path.write_text("\n".join(lines) + "\n")
+        got, report, _ = run_json(capsys, ["decide", "--file", str(path)])
+        assert got == code
+        assert report["subset_criterion"] is (failing is None)
+        assert report["failing_subset"] == failing
+
     def test_set_of_higher_roots_rejected(self, capsys, tmp_path):
         path = tmp_path / "r.txt"
         path.write_text("root[3]: x\nroot[3]: x-1\n")
@@ -142,6 +156,13 @@ class TestScanCommand:
         scan = report["scan"]
         assert scan["trials"] == 5
         assert scan["agreements"] + scan["disagreement_count"] == 5
+
+    def test_more_than_twenty_radicands(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, report, _ = run_json(
+            capsys, ["scan", "--seed", "3", "--trials", "5", "--max-m", "25"])
+        assert code == 0
+        assert report["scan"]["agreements"] == 5
 
     def test_invalid_trials(self, capsys):
         code, _, err = run(capsys, ["scan", "--trials", "0"])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_factored_poly, random_poly, random_rational_family
+from oracles import enumerated_subset_criterion
 from sqrat import decide
 from sqrat.decide import (
     NOT_RATIONALIZABLE,
@@ -19,14 +20,15 @@ from sqrat.decide import (
     decide_single_sqrt,
     scan_trial_outcome,
     subset_criterion,
+    subset_criterion_table,
 )
 from sqrat.errors import (
     EmptyFamilyError,
-    FamilyTooLargeError,
     InvalidParamsError,
     ReduciblePowerError,
     ZeroRadicandError,
 )
+from sqrat.lattice import build_branch_table
 from sqrat.poly import RatFunc, UPoly, squarefree_part
 
 X = UPoly.x()
@@ -118,6 +120,17 @@ class TestDecideSet:
         with pytest.raises(EmptyFamilyError):
             decide_set([])
 
+    def test_genus_zero_invariant_checked(self, monkeypatch):
+        # genus 0 forces (rank, branch count) into (0, 0), (1, 2), (2, 3);
+        # a genus formula that reported 0 for rank 3 and 4 branch points
+        # would be a bug
+        monkeypatch.setattr(decide, "multiquadratic_genus_summary",
+                            lambda summary: 0)
+        with pytest.raises(RuntimeError, match="rank 3 and 4 branch points"):
+            decide_set([X, 4 * X + 1, X**2 - 4 * X], attach_witness=False)
+        assert decide_set([X - 1, X - 2],
+                          attach_witness=False).status == RATIONALIZABLE
+
 
 class TestVerdictInvariants:
     def test_status_genus_consistency_enforced(self):
@@ -145,25 +158,29 @@ class TestSubsetCriterion:
     def test_singleton(self):
         assert subset_criterion([X - 1]) == (True, None)
 
-    def test_family_cap(self):
-        with pytest.raises(FamilyTooLargeError):
-            subset_criterion([RatFunc(X - i) for i in range(21)])
+    def test_first_occurrences_of_three_distinct_rows(self):
+        # rows a, a, b, a, c: every pair passes, and the first failing
+        # triple skips index 1 and 3, whose rows repeat index 0's
+        passes, failing = subset_criterion([X, X, X - 1, 4 * X, X - 2])
+        assert not passes and failing == [0, 2, 4]
 
-    def test_family_cap_checked_before_the_table(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(decide, "build_branch_table",
-                            lambda rads: built.append(rads))
+    @pytest.mark.parametrize("m", [21, 200])
+    def test_any_family_size_gets_an_answer(self, m):
+        # square multiples of x and x - 1 pass (genus 0), of x, x - 1 and
+        # x - 2 fail at the first three
+        passing = [RatFunc((k + 1) ** 2 * (X - k % 2)) for k in range(m)]
+        failing = [RatFunc((k + 1) ** 2 * (X - k % 3)) for k in range(m)]
+        assert subset_criterion(passing) == (True, None)
+        assert subset_criterion(failing) == (False, [0, 1, 2])
+
+    def test_malformed_families_rejected(self):
         family = [RatFunc(X - i) for i in range(21)]
-        with pytest.raises(FamilyTooLargeError):
-            subset_criterion(family)
-        # malformed families are rejected for what is wrong with them first
         with pytest.raises(EmptyFamilyError):
             subset_criterion([])
         with pytest.raises(ZeroRadicandError):
             subset_criterion(family + [RatFunc(0)])
         with pytest.raises(TypeError):
             subset_criterion(family + ["x"])
-        assert built == []
 
     def test_passes_iff_genus_zero(self):
         # the lemma in the decide module: under the criterion every class
@@ -178,10 +195,16 @@ class TestSubsetCriterion:
                 assert v.rank <= 2 and v.branch_count in (0, 2, 3)
 
     def test_matches_naive_product_enumeration(self):
+        # RatFunc products as the oracle, on families with repeated
+        # classes and square multiples of other members
         rng = random.Random(18)
-        for _ in range(40):
+        for _ in range(60):
             fam = [RatFunc(random_factored_poly(rng))
                    for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.6:
+                g = random_factored_poly(rng, 1)
+                fam.append(rng.choice(fam) * g * g * rng.choice([1, 4, 3]))
+            rng.shuffle(fam)
             passes, failing = subset_criterion(fam)
             naive_failing = None
             for size in range(1, len(fam) + 1):
@@ -197,6 +220,32 @@ class TestSubsetCriterion:
             assert passes == (naive_failing is None)
             assert failing == naive_failing
 
+    def test_matches_all_subsets_on_larger_families(self):
+        # 6 to 10 radicands against the 2^m enumeration of parity rows;
+        # products of the linear factors x, ..., x - 4 with square
+        # constants make failing subsets of size 3 common
+        rng = random.Random(19)
+        linear = [X - k for k in range(5)]
+        sizes = set()
+        for trial in range(120):
+            m = rng.randint(6, 10)
+            if trial % 2:
+                fam = random_rational_family(rng, m)
+                while len(fam) < m:
+                    fam.append(rng.choice(fam) * RatFunc(X - rng.randint(-3, 3)) ** 2)
+            else:
+                fam = []
+                for _ in range(m):
+                    f = RatFunc(rng.choice([1, 4, Fraction(1, 9)]))
+                    for i in rng.sample(range(5), rng.randint(0, 2)):
+                        f = f * linear[i]
+                    fam.append(f)
+            table = build_branch_table(fam)
+            result = subset_criterion_table(table)
+            assert result == enumerated_subset_criterion(table)
+            sizes.add(None if result[1] is None else len(result[1]))
+        assert sizes == {None, 1, 2, 3}
+
 
 class TestScan:
     def test_deterministic(self):
@@ -206,14 +255,11 @@ class TestScan:
         assert r1.disagreements == r2.disagreements
         assert r1.agreements + len(r1.disagreements) == 40
 
-    def test_different_seeds_differ(self):
-        # not a hard requirement, but the streams should not be constant
-        outs = set()
+    def test_every_trial_agrees_across_seeds(self):
+        # the lemma in the decide module: the criterion and the genus agree
         for seed in range(5):
             r = conjecture_scan(seed=seed, trials=5)
-            outs.add(tuple(sorted(d["trial"] for d in r.disagreements)))
-            outs.add(r.agreements)
-        assert len(outs) >= 1  # smoke: runs clean across seeds
+            assert r.agreements == 5 and r.disagreements == []
 
     def test_forced_examples(self):
         assert scan_trial_outcome([X - 1, X - 2])["agreement"]

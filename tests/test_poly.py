@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly, ratfuncs, upolys
 from oracles import expand, radical
+from sqrat import poly
 from sqrat.errors import ConstantSubstitutionError, ZeroInputError
 from sqrat.poly import (
     NotSquare,
@@ -109,6 +111,30 @@ class TestSquarefree:
             for i in range(len(parts)):
                 for j in range(i + 1, len(parts)):
                     assert poly_gcd(parts[i][0], parts[j][0]).is_one
+
+
+class TestRatFuncPower:
+    @given(ratfuncs(4), st.integers(-4, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reduced_constructor(self, f, n):
+        if n < 0 and f.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                f ** n
+            return
+        num, den = (f.num, f.den) if n >= 0 else (f.den, f.num)
+        assert f ** n == RatFunc(num ** abs(n), den ** abs(n))
+
+    def test_takes_no_gcd(self, monkeypatch):
+        fs = [RatFunc(3 * X + 3, 2 * (X + 2) ** 2), RatFunc(X**2 + 1, X),
+              RatFunc(Fraction(-2, 3)), RatFunc(0)]
+        calls = []
+        real = poly.gcd_cofactors
+        monkeypatch.setattr(poly, "gcd_cofactors",
+                            lambda *args: calls.append(args) or real(*args))
+        for f in fs:
+            for n in (0, 1, 5) if f.is_zero else (-3, -1, 0, 1, 5):
+                f ** n
+        assert calls == []
 
 
 class TestSquarefreePart:
