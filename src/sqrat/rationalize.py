@@ -252,7 +252,12 @@ def verify_witness(radicands: Sequence[RatFunc | UPoly],
 
 @dataclass(frozen=True)
 class MinPoly:
-    """Monic minimal polynomial of sum(sqrt(f_i)) over the generator list."""
+    """Monic minimal polynomial of sum(sqrt(f_i)) over the generators f_i.
+
+    The generators are the polynomials the minimal polynomial was computed
+    from: each input generator with a denominator is replaced by a
+    polynomial of the same square class.
+    """
 
     poly: ZPoly
     generators: tuple[RatFunc, ...]
@@ -266,11 +271,26 @@ def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
     """Iterated-resultant minimal polynomial of the sum of square roots.
 
     Rational generators are first replaced by polynomial ones of the same
-    square class by clearing denominators of z^2 - f.  Requires the
-    generators' classes to be independent in the square-class lattice; the
-    result is monic of degree 2^m with roots exactly the sums of the square
-    roots over all sign choices, and is rejected if two sign choices
-    collide (a degenerate primitive element).
+    square class by clearing denominators of z^2 - f; the result's
+    generators are those polynomials.  Requires the generators' classes to
+    be independent in the square-class lattice; the result is monic of
+    degree 2^m with roots exactly the sums of the square roots over all
+    sign choices, and is rejected if two sign choices collide (a
+    degenerate primitive element).
+
+    Independence rules the collision out, so the squarefree check below is
+    a certificate that cannot fail.  Independent parity rows mean that no
+    nonempty product of the f_i is a constant times a square, so by Kummer
+    theory the compositum K = C(x)(sqrt(f_1), ..., sqrt(f_m)) has degree
+    2^m over C(x), the function-field case of Besicovitch (1940) for
+    square roots of integers.  K is spanned by the 2^m products
+    prod_{i in T} sqrt(f_i), T a subset of the indices, so those products
+    are a basis, and the sqrt(f_i) (|T| = 1) are linearly independent over
+    C(x).  Two sign choices e != e' with sum(e_i*sqrt(f_i)) =
+    sum(e'_i*sqrt(f_i)) would give sum over {i: e_i != e'_i} of
+    2*e_i*sqrt(f_i) = 0, a nontrivial relation.  So the 2^m sign sums are
+    distinct, p has 2^m distinct roots and DegenerateSumError is not
+    raised.
     """
     rads = _coerce_radicands(generators)
     polys: list[UPoly] = []
@@ -297,4 +317,4 @@ def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
         raise DegenerateSumError(
             "distinct sign combinations of the square roots collide"
         )
-    return MinPoly(poly=p, generators=tuple(rads))
+    return MinPoly(poly=p, generators=tuple(RatFunc(f) for f in polys))

@@ -6,17 +6,35 @@ Minimal polynomials eliminate y from p(z - y) and y^2 - f with
 resultant_with_quadratic: the norm a^2 - f*b^2 of p(z - y) reduced modulo
 y^2 - f, so no Sylvester matrix is formed.
 
-Degrees in this library stay small (the minimal polynomial of m square
-roots has z-degree 2^m), so the dense representation is fine.
+The norm runs on integers, not on ZPoly values.  After clearing
+denominators, every coefficient in x is evaluated at one large power of
+two X = 2^(8*width) (Kronecker substitution, as in UPoly products), so the
+computation becomes one over lists of Python ints in z, whose two
+squarings are themselves Kronecker products; the coefficients in x are
+read back once at the end.  width comes from a sound bound: the same
+computation on the 1-norms of the coefficients, which bounds every
+coefficient of the result.  The squarefree certificate for the result
+likewise evaluates x at small integers and takes integer gcds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import ZeroInputError
-from .poly import RatFunc, UPoly, coprime_basis, poly_gcd
+from .poly import (
+    RatFunc,
+    UPoly,
+    _digits,
+    _int_gcd_cofactors,
+    _int_mul,
+    _integer_numerators,
+    _pack,
+    _scaled,
+    coprime_basis,
+)
 
 ZPoly = tuple[UPoly, ...]
 
@@ -41,23 +59,6 @@ ZP_ONE: ZPoly = (UPoly.one(),)
 
 def zp_degree(p: ZPoly) -> int | None:
     return len(p) - 1 if p else None
-
-
-def zp_add(a: ZPoly, b: ZPoly) -> ZPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return zpoly(out)
-
-
-def zp_neg(a: ZPoly) -> ZPoly:
-    return tuple(-c for c in a)
-
-
-def zp_sub(a: ZPoly, b: ZPoly) -> ZPoly:
-    return zp_add(a, zp_neg(b))
 
 
 def zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
@@ -144,52 +145,109 @@ def zp_gcd_degree_over_field(a: ZPoly, b: ZPoly) -> int | None:
 def zp_is_squarefree_in_z(p: ZPoly) -> bool:
     """True iff p has no repeated roots as a polynomial in z over Q(x).
 
-    Fast path: evaluate x at small rationals and take a univariate gcd; a
-    single point with coprime (p, dp/dz) certifies a nonvanishing
-    discriminant.  Only if every sample point degenerates does the exact
-    gcd over Q(x) run (expensive, but conclusive).
+    Fast path: evaluate x at the integers -8..8 and take a univariate gcd;
+    a single point where the leading coefficient does not vanish and
+    (p, dp/dz) are coprime certifies a nonvanishing discriminant.  The
+    points are evaluated on the integer numerators d*p (d the least common
+    denominator), which have the same gcd.  Only if every sample point
+    degenerates does the exact gcd over Q(x) run (expensive, but
+    conclusive).
     """
     if zp_degree(p) in (None, 0):
         return True
-    dp = zp_derivative(p)
-    lead = p[-1]
+    _, ints = _zp_integer_numerators(p)
     for xi in range(-8, 9):
-        point = Fraction(xi)
-        if lead.evaluate(point) == 0:
+        p_xi = [_evaluate(c, xi) for c in ints]
+        if p_xi[-1] == 0:
             continue
-        p_xi = UPoly([c.evaluate(point) for c in p])
-        dp_xi = UPoly([c.evaluate(point) for c in dp])
-        if dp_xi.is_zero:
+        dp_xi = [k * c for k, c in enumerate(p_xi) if k]
+        if not any(dp_xi):
             continue
-        if poly_gcd(p_xi, dp_xi).is_one:
+        if len(_int_gcd_cofactors(p_xi, dp_xi)[0]) == 1:
             return True
-    return zp_gcd_degree_over_field(p, dp) == 0
+    return zp_gcd_degree_over_field(p, zp_derivative(p)) == 0
+
+
+def _zp_integer_numerators(p: ZPoly) -> tuple[int, list[list[int]]]:
+    """(d, d*p as integer lists) with d the least common denominator of p."""
+    d = lcm(*[c.denominator for ci in p for c in ci.coeffs])
+    return d, [[c.numerator * (d // c.denominator) for c in ci.coeffs] for ci in p]
+
+
+def _evaluate(ints: list[int], xi: int) -> int:
+    """Value at the integer xi of the integer polynomial ints (Horner)."""
+    value = 0
+    for c in reversed(ints):
+        value = value * xi + c
+    return value
 
 
 # -- resultants with quadratics ----------------------------------------------
 
 
 def resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
-    """Res_y(p(z - y), y^2 - f) by reduction modulo the quadratic.
+    """Res_y(p(z - y), y^2 - f) as the norm p(z - sqrt(f)) * p(z + sqrt(f)).
 
     Writing p(z - y) = a + b*y mod (y^2 - f), the resultant is the norm
-    a^2 - f*b^2 = p(z - sqrt(f)) * p(z + sqrt(f)).  Same value as the
-    Sylvester determinant, but polynomial in the degree of p, which keeps
-    iterated minimal polynomials cheap.
+    a^2 - f*b^2: the Sylvester determinant's value, polynomial in the
+    degree of p.  It is computed on integers.  With d and e the least
+    common denominators of p and f, F = f*e^2 is integral, sqrt(f) =
+    sqrt(F)/e, and q(w) = d*e^n*p(w/e) (n = deg p) has integer
+    coefficients with q(e*z - sqrt(F)) = d*e^n*p(z - sqrt(f)); so the
+    norm N(w) of q over sqrt(F) gives the result as N(e*z)/(d^2*e^(2n)).
+    Every x-coefficient is evaluated at X = 2^(8*width) (Kronecker), which
+    turns N into a list of Python ints in z, and the slots hold every
+    coefficient of N because width comes from the same computation run on
+    1-norms (sums of absolute values, which are submultiplicative) with
+    additions in place of subtractions.
     """
-    f_z = zpoly([f])
-    # powers of (z - y) modulo y^2 - f, as pairs (u, v) with u + v*y
-    u, v = ZP_ONE, ZP_ZERO
-    a, b = ZP_ZERO, ZP_ZERO
-    for coeff in p:
-        if not coeff.is_zero:
-            c = zpoly([coeff])
-            a = zp_add(a, zp_mul(c, u))
-            b = zp_add(b, zp_mul(c, v))
-        shifted_u = zpoly((UPoly.zero(),) + u)  # z * u
-        shifted_v = zpoly((UPoly.zero(),) + v)
-        u, v = zp_sub(shifted_u, zp_mul(f_z, v)), zp_sub(shifted_v, u)
-    return zp_sub(zp_mul(a, a), zp_mul(f_z, zp_mul(b, b)))
+    if not p:
+        return ZP_ZERO
+    n = len(p) - 1
+    d, ints = _zp_integer_numerators(p)
+    e, ef = _integer_numerators(f.coeffs)
+    big_f = [c * e for c in ef]
+    q = [[c * e ** (n - i) for c in row] for i, row in enumerate(ints)]
+    # the slots also hold the coefficients of q and F: q's are below the
+    # bound's, and so are F's unless p is constant in z
+    bound = max([*_norm_over_sqrt([sum(map(abs, c)) for c in q],
+                                  sum(map(abs, big_f)), 1),
+                 *map(abs, big_f)])
+    width = bound.bit_length() // 8 + 1
+    norm = _norm_over_sqrt([_pack(c, width) for c in q], _pack(big_f, width), -1)
+    out = []
+    scale = Fraction(1, (d * e ** n) ** 2)
+    for value in norm:
+        out.append(_scaled(scale, _digits(value, width)))
+        scale *= e
+    return zpoly(out)
+
+
+def _norm_over_sqrt(coeffs: list[int], big_f: int, sign: int) -> list[int]:
+    """a^2 + sign*F*b^2 with a + b*y = sum_i c_i*(z + sign*y)^i mod y^2 - F.
+
+    The c_i are coeffs, z-ascending.  With sign = -1 and the values q_i(X)
+    and F(X) this is the norm of q(z - y) at X.  With sign = 1 and the
+    1-norms of the q_i and F, every term counts positive, so each entry
+    bounds the 1-norm of the matching coefficient of the norm.
+    """
+    sf = sign * big_f
+    a: list[int] = []
+    b: list[int] = []
+    for c in reversed(coeffs):
+        # Horner: (a + b*y)*(z + sign*y) + c, with y^2 = F
+        new_a = [c, *a]
+        for k, t in enumerate(b):
+            new_a[k] += sf * t
+        new_b = [sign * t for t in a]
+        for k, t in enumerate(b):
+            new_b[k + 1] += t
+        a, b = new_a, new_b
+    out = _int_mul(a, a)
+    if b:
+        for k, t in enumerate(_int_mul(b, b)):
+            out[k] += sf * t
+    return out
 
 
 # -- monic denominator clearing ----------------------------------------------

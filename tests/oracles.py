@@ -7,13 +7,16 @@ and a parser that evaluates every node as a RatFunc, are what the tests
 compare those against.  radical and expand are test helpers built on the
 library's own squarefree decomposition.  enumerated_subset_criterion is
 the 2^m subset enumeration that the library's criterion, which checks at
-most three distinct parity rows, replaced.
+most three distinct parity rows, replaced.  fraction_resultant_with_quadratic
+and fraction_is_squarefree_in_z are the Fraction versions of the minimal
+polynomial kernels, which the library runs on packed integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from sqrat.errors import (
@@ -25,7 +28,25 @@ from sqrat.errors import (
 )
 from sqrat.lattice import BranchTable
 from sqrat.parsing import MAX_EXPONENT, MAX_NESTING, Token
-from sqrat.poly import RatFunc, SqfDecomp, UPoly, gcd_cofactors, squarefree_decompose
+from sqrat.poly import (
+    RatFunc,
+    SqfDecomp,
+    UPoly,
+    gcd_cofactors,
+    poly_gcd,
+    squarefree_decompose,
+)
+from sqrat.resultants import (
+    ZP_ONE,
+    ZP_ZERO,
+    ZPoly,
+    zp_degree,
+    zp_derivative,
+    zp_gcd_degree_over_field,
+    zp_mul,
+    zpoly,
+)
+from sylvester import zp_add, zp_sub
 
 
 def fraction_squarefree_decompose(f: UPoly) -> SqfDecomp:
@@ -279,3 +300,39 @@ def enumerated_subset_criterion(table: BranchTable
             if class_degree > 2:
                 return False, list(combo)
     return True, None
+
+
+def fraction_resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
+    """Res_y(p(z - y), y^2 - f) as a^2 - f*b^2 over Q[x], with the powers of
+    (z - y) modulo y^2 - f kept as pairs (u, v) meaning u + v*y."""
+    f_z = zpoly([f])
+    u, v = ZP_ONE, ZP_ZERO
+    a, b = ZP_ZERO, ZP_ZERO
+    for coeff in p:
+        if not coeff.is_zero:
+            c = zpoly([coeff])
+            a = zp_add(a, zp_mul(c, u))
+            b = zp_add(b, zp_mul(c, v))
+        shifted_u = zpoly((UPoly.zero(),) + u)  # z * u
+        shifted_v = zpoly((UPoly.zero(),) + v)
+        u, v = zp_sub(shifted_u, zp_mul(f_z, v)), zp_sub(shifted_v, u)
+    return zp_sub(zp_mul(a, a), zp_mul(f_z, zp_mul(b, b)))
+
+
+def fraction_is_squarefree_in_z(p: ZPoly) -> bool:
+    """zp_is_squarefree_in_z with UPoly evaluation and gcd at each point."""
+    if zp_degree(p) in (None, 0):
+        return True
+    dp = zp_derivative(p)
+    lead = p[-1]
+    for xi in range(-8, 9):
+        point = Fraction(xi)
+        if lead.evaluate(point) == 0:
+            continue
+        p_xi = UPoly([c.evaluate(point) for c in p])
+        dp_xi = UPoly([c.evaluate(point) for c in dp])
+        if dp_xi.is_zero:
+            continue
+        if poly_gcd(p_xi, dp_xi).is_one:
+            return True
+    return zp_gcd_degree_over_field(p, dp) == 0

@@ -15,9 +15,26 @@ from math import comb
 from sqrat import resultants
 from sqrat.errors import ZeroInputError
 from sqrat.poly import UPoly
-from sqrat.resultants import ZP_ONE, ZP_ZERO, ZPoly, zp_degree, zp_neg, zp_sub, zpoly
+from sqrat.resultants import ZP_ONE, ZP_ZERO, ZPoly, zp_degree, zpoly
 
 BiPoly = tuple[ZPoly, ...]
+
+
+def zp_add(a: ZPoly, b: ZPoly) -> ZPoly:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return zpoly(out)
+
+
+def zp_neg(a: ZPoly) -> ZPoly:
+    return tuple(-c for c in a)
+
+
+def zp_sub(a: ZPoly, b: ZPoly) -> ZPoly:
+    return zp_add(a, zp_neg(b))
 
 
 def zp_pow(a: ZPoly, n: int) -> ZPoly:

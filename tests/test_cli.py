@@ -125,6 +125,16 @@ class TestMinpolyCommand:
         assert code == 0
         assert report["minpoly"] == "z^4 + (-4*x^2 + 6*x)*z^2 + x^2"
 
+    def test_generators_are_the_polynomials_used(self, capsys):
+        # sqrt(1/x) = sqrt(x)/x: the minimal polynomial z^2 - x belongs to
+        # the generator x of the same square class
+        code, out, _ = run(capsys, ["minpoly", "1/x", "(x+1)/4", "1/(2*x-2)"])
+        assert code == 0
+        assert out.splitlines()[0] == "generators: x, 1/4*x + 1/4, 1/2*x - 1/2"
+        code, report, _ = run_json(capsys, ["minpoly", "1/x"])
+        assert report["generators"] == ["x"]
+        assert report["minpoly"] == "z^2 - x"
+
     def test_dependent_generators_exit_2(self, capsys):
         code, _, err = run(capsys, ["minpoly", "x", "x*(x-1)^2"])
         assert code == 2 and "dependent" in err

@@ -318,6 +318,7 @@ class TestMinPoly:
     def test_rational_generator_normalized(self):
         mp = minpoly_multiquadratic([RatFunc(X - 1, X)])
         assert mp.poly == zpoly([-(X - 1) * X, UPoly.zero(), UPoly.one()])
+        assert mp.generators == (RatFunc((X - 1) * X),)
 
     def test_degree_is_power_of_two(self):
         mp = minpoly_multiquadratic([RatFunc(X), RatFunc(X - 1),

@@ -1,18 +1,27 @@
-"""Resultants with quadratics against Sylvester determinants, denominator clearing."""
+"""Resultants with quadratics against Sylvester determinants, the Fraction
+kernels and sympy; the squarefree certificate; denominator clearing."""
 
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
+from oracles import fraction_is_squarefree_in_z, fraction_resultant_with_quadratic
 from sylvester import resultant, shift_by_minus_y
+from sqrat import resultants
 from sqrat.errors import ZeroInputError
+from sqrat.lattice import build_branch_table, gf2_eliminate
 from sqrat.poly import RatFunc, UPoly
 from sqrat.resultants import (
     ZP_ONE,
     ZP_ZERO,
     clear_denominators_monic,
     resultant_with_quadratic,
+    zp_is_squarefree_in_z,
     zp_mul,
     zp_to_str,
     zpoly,
@@ -94,6 +103,163 @@ class TestResultant:
                         total += ck.evaluate(t0) * z_val**k
                     return total
                 assert lhs == eval_m(-c) * eval_m(c)
+
+
+# zeros, small integers, small fractions, and 2,000-bit numerators over
+# small or 40-bit denominators, with both signs
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-2**2000, 2**2000),
+              st.sampled_from([1, 3, 2**40 + 15])),
+)
+x_polys = st.lists(coefficients, max_size=4).map(UPoly)
+z_polys = st.lists(x_polys, max_size=5).map(zpoly)
+# squares go through the exact gcd over Q(x), which is slow on big numbers
+moderate_z_polys = st.lists(st.lists(st.builds(
+    Fraction, st.integers(-2**64, 2**64), st.sampled_from([1, 3, 12])),
+    max_size=4).map(UPoly), max_size=4).map(zpoly)
+small_x_polys = st.lists(st.builds(Fraction, st.integers(-6, 6),
+                                   st.sampled_from([1, 1, 2, 3])),
+                         max_size=3).map(UPoly)
+
+
+def random_rational_poly(rng: random.Random, max_degree: int) -> UPoly:
+    p = random_poly(rng, max_degree, bound=9)
+    return UPoly([Fraction(c, rng.choice([1, 2, 3, 4, 12])) for c in p.coeffs])
+
+
+def to_sympy(p, sympy, x, z):
+    """A ZPoly as a sympy expression in x and z."""
+    return sum(sympy.Rational(c.numerator, c.denominator) * x**j * z**k
+               for k, ck in enumerate(p) for j, c in enumerate(ck.coeffs))
+
+
+class TestPackedNorm:
+    """resultant_with_quadratic against the Fraction kernel it replaced."""
+
+    @given(p=z_polys, f=x_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_kernel(self, p, f):
+        assert resultant_with_quadratic(p, f) == fraction_resultant_with_quadratic(p, f)
+
+    def test_random_rational_pairs(self):
+        # f = F/e^2 with e the denominator of f, not F/e: an integer-only
+        # check cannot tell the two apart
+        rng = random.Random(41)
+        for _ in range(300):
+            p = zpoly([random_rational_poly(rng, 2)
+                       for _ in range(rng.randint(1, 5))])
+            f = random_rational_poly(rng, 3)
+            assert resultant_with_quadratic(p, f) == \
+                fraction_resultant_with_quadratic(p, f)
+
+    @pytest.mark.parametrize("p, f", [
+        (zpoly([X, 3, -2 * X]), X - 1),                       # non-monic
+        (zpoly([-Fraction(1, 3) * X, 0, Fraction(2, 5)]), X / 4 + Fraction(1, 6)),
+        (zpoly([X - 1, 2, 1]), UPoly.zero()),                 # f = 0
+        (zpoly([X - 1, 2, 1]), UPoly.constant(Fraction(-9, 8))),  # constant f
+        (zpoly([X**2 + 1]), X**3 - 7),                        # z-degree 0
+        (zpoly([-X / 3]), UPoly.constant(10**700)),           # z-degree 0, big f
+        (zpoly([5, -X, -3]), -X**2 - 2),                      # negative leads
+        (zpoly([2**2000 * X + 1, -(2**1999), 3**1260 * X]),
+         Fraction(-(2**2001) + 1, 7) * X**2 + 5**861),        # 2,000-bit coefficients
+    ], ids=["non-monic", "rational", "f-zero", "f-constant", "z-degree-0",
+            "z-degree-0-big-f", "negative-leads", "2000-bits"])
+    def test_edge_inputs(self, p, f):
+        r = resultant_with_quadratic(p, f)
+        assert r == fraction_resultant_with_quadratic(p, f)
+        assert len(r) == 2 * len(p) - 1
+
+    def test_zero_polynomial(self):
+        assert resultant_with_quadratic(ZP_ZERO, X) == ZP_ZERO
+
+    @given(p=st.lists(small_x_polys, min_size=1, max_size=4).map(zpoly),
+           f=small_x_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_sympy_resultant(self, p, f):
+        sympy = pytest.importorskip("sympy")
+        x, y, z = sympy.symbols("x y z")
+        ours = resultant_with_quadratic(p, f)
+        if not p:
+            assert ours == ZP_ZERO
+            return
+        shifted = to_sympy(p, sympy, x, z).subs(z, z - y)
+        expected = sympy.resultant(shifted, y**2 - to_sympy(zpoly([f]), sympy, x, z), y)
+        assert sympy.expand(expected - to_sympy(ours, sympy, x, z)) == 0
+
+    def test_no_upoly_products(self, monkeypatch):
+        p = zpoly([Fraction(1, 3) * X**2 - 1, 2 * X, -X, 0, 1])
+        f = X / 4 - Fraction(2, 9)
+        calls = []
+        for cls, name in [(UPoly, "__mul__"), (UPoly, "__rmul__"),
+                          (resultants, "zp_mul")]:
+            original = getattr(cls, name)
+
+            def counting(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counting)
+        r = resultant_with_quadratic(p, f)
+        assert len(r) == 9
+        assert calls == []
+
+
+class TestSquarefreeCertificate:
+    @given(p=moderate_z_polys, square=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_fast_path_matches_fraction(self, p, square):
+        if square:  # a square has repeated roots in z unless it is constant
+            p = zp_mul(p, p)
+        assert zp_is_squarefree_in_z(p) == fraction_is_squarefree_in_z(p)
+
+    def test_minpoly_chains_match_fraction(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            gens = [random_rational_poly(rng, 2) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:
+                gens.append(gens[0])
+            p = zpoly([-gens[0], 0, 1])
+            for f in gens[1:]:
+                p = resultant_with_quadratic(p, f)
+            assert zp_is_squarefree_in_z(p) == fraction_is_squarefree_in_z(p)
+
+    def test_every_point_degenerates(self, monkeypatch):
+        # g vanishes at x = -8..8, so p(xi) = z^2 has the double root 0 at
+        # every sample point; the exact gcd over Q(x) decides
+        calls = []
+        original = resultants.zp_gcd_degree_over_field
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(resultants, "zp_gcd_degree_over_field", counting)
+        g = prod((X - k for k in range(-8, 9)), start=UPoly.one())
+        assert zp_is_squarefree_in_z(zpoly([-g, 0, 1]))
+        assert calls == [1]
+        assert not zp_is_squarefree_in_z(zpoly([g * g, -2 * g, 1]))  # (z - g)^2
+        assert len(calls) == 2
+
+    @given(st.lists(st.tuples(st.sampled_from([X, X - 1, X + 2, X * (X - 1)]),
+                              st.sampled_from([1, 4, Fraction(9, 4), -1, 2])),
+                    min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_discriminant_against_sympy(self, members):
+        # sign sums collide (discriminant 0) only for dependent generators
+        sympy = pytest.importorskip("sympy")
+        x, z = sympy.symbols("x z")
+        gens = [c * b for b, c in members]
+        p = zpoly([-gens[0], 0, 1])
+        for f in gens[1:]:
+            p = resultant_with_quadratic(p, f)
+        nonzero = sympy.discriminant(to_sympy(p, sympy, x, z), z) != 0
+        assert zp_is_squarefree_in_z(p) == nonzero
+        _, dependent = gf2_eliminate(build_branch_table(gens))
+        if dependent is None:
+            assert nonzero
 
 
 class TestClearDenominators:
