@@ -27,11 +27,15 @@ evaluation is a partial sum, product or power of its node's, within the
 node's bounds.  A sum, product, quotient or power whose bounds pass
 MAX_DEGREE or MAX_COEFF_BITS is an ExprSyntaxError at its operator,
 raised before anything is computed; only exponents (which must be
-constants) and divisors (which must not be zero) are evaluated while the
-tree is read, so errors come in text order.  The tree is then evaluated
-in UPoly: a product with a constant operand or a division by a constant
-scales the coefficients, and a RatFunc is built only at a "/" whose
-divisor is not constant, and once at the end.
+constants) are evaluated while the tree is read, and divisors are tested
+for zero, so errors come in text order.  The zero test evaluates only
+sums and leaves: a product is zero iff one of its factors is, a power
+iff its base is and the exponent is positive, and a negation iff its
+operand is.  The tree is then evaluated on integers: a polynomial is an
+integer coefficient list over a positive integer denominator, so sums,
+products, powers and divisions by constants are integer list operations,
+a RatFunc is built only at a "/" whose divisor is not constant, and the
+result becomes a UPoly or RatFunc once, at the end.
 
 Radicand files hold one radicand per line, UTF-8, with # comments and
 blank lines ignored and an optional "root[e]:" prefix selecting the root
@@ -43,6 +47,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -54,7 +59,15 @@ from .errors import (
     UnsupportedVariableError,
     ZeroRadicandError,
 )
-from .poly import RatFunc, UPoly
+from .poly import (
+    RatFunc,
+    UPoly,
+    _int_mul,
+    _int_pow,
+    _int_sub,
+    _integer_numerators,
+    _upoly,
+)
 
 MAX_EXPONENT = 4096
 MAX_NESTING = 100
@@ -219,7 +232,7 @@ class _Parser:
             else:
                 bound = bound / rhs.bound
             _check_budget(bound, tok)
-            if tok.kind == "/" and _evaluate(rhs).is_zero:
+            if tok.kind == "/" and _is_zero(rhs):
                 raise DivisionByZeroExpressionError(
                     "denominator is identically zero",
                     position=tok.position)
@@ -252,19 +265,19 @@ class _Parser:
         if tok is not None and tok.kind == "^":
             self.advance()
             exponent = _evaluate(self.unary())
-            if not (isinstance(exponent, UPoly) and exponent.is_constant):
+            if not (isinstance(exponent, tuple) and len(exponent[0]) <= 1):
                 raise ExprSyntaxError("exponent must be a constant",
                                       position=tok.position)
-            value = exponent.coeff(0)
-            if value.denominator != 1:
+            ints, den = exponent
+            n, rest = divmod(ints[0] if ints else 0, den)
+            if rest:
                 raise ExprSyntaxError(
                     "exponent must be a nonnegative integer",
                     position=tok.position)
-            if value < 0:
+            if n < 0:
                 raise NegativeExponentError(
                     "negative exponents are not allowed",
                     position=tok.position)
-            n = int(value)
             if n > MAX_EXPONENT:
                 raise ExprSyntaxError(
                     f"exponent too large (limit {MAX_EXPONENT})",
@@ -286,7 +299,8 @@ class _Parser:
                     position=tok.position)
             # the least b with n <= 2^b
             bits = (n - 1).bit_length() if n else 0
-            return _Node("leaf", None, _Bound(0, bits, 0, 0), UPoly.constant(n))
+            return _Node("leaf", None, _Bound(0, bits, 0, 0),
+                         ([n] if n else [], 1))
         if tok.kind == "name":
             if tok.text == "x":
                 return _Node("leaf", None, _X_BOUND, _X)
@@ -312,24 +326,59 @@ def _check_budget(bound: _Bound, tok: Token):
             position=tok.position)
 
 
-_X = UPoly.x()
+_X = ([0, 1], 1)
 _X_BOUND = _Bound(1, 0, 0, 0)
 
-Value = Union[UPoly, RatFunc]
+# A polynomial value is (ints, den), the integer coefficient list ints
+# (no trailing zeros; [] is zero) over the positive integer den.  Other
+# values are RatFuncs whose denominator is not 1.  Value lists may be
+# shared between nodes, so they are never changed in place.
+Value = Union[tuple[list[int], int], RatFunc]
 
 
 def _evaluate(node: _Node) -> Value:
-    """Value of a node: a UPoly, or a RatFunc whose denominator is not 1."""
+    """Value of a node: (ints, den), or a RatFunc whose denominator is not 1."""
     if node.value is None:
         node.value = _EVALUATORS[node.op](node.args)
     return node.value
+
+
+def _is_zero(node: _Node) -> bool:
+    """Whether the value of node is zero; only sums and leaves are evaluated."""
+    if node.op == "neg":
+        return _is_zero(node.args)
+    if node.op == "product":
+        return any(op == "*" and _is_zero(factor) for op, factor in node.args)
+    if node.op == "power":
+        base, n = node.args
+        return n > 0 and _is_zero(base)
+    value = _evaluate(node)
+    return isinstance(value, tuple) and not value[0]
+
+
+def _evaluate_neg(inner: _Node) -> Value:
+    value = _evaluate(inner)
+    if isinstance(value, RatFunc):
+        return -value
+    ints, den = value
+    return [-c for c in ints], den
 
 
 def _evaluate_sum(terms) -> Value:
     value = _evaluate(terms[0][1])
     for sign, node in terms[1:]:
         rhs = _evaluate(node)
-        value = _demote(value + rhs if sign == "+" else value - rhs)
+        if isinstance(value, tuple) and isinstance(rhs, tuple):
+            # over the least common denominator: ia*(db/g) -/+ ib*(da/g)
+            (ia, da), (ib, db) = value, rhs
+            g = gcd(da, db)
+            if db != g:
+                ia = [c * (db // g) for c in ia]
+            scale = da // g if sign == "-" else -(da // g)
+            value = _int_sub(ia, [scale * c for c in ib]), da * (db // g)
+        else:
+            a, b = _as_ratfunc(value), _as_ratfunc(rhs)
+            value = _from_ratfunc(a + b if sign == "+" else a - b)
     return value
 
 
@@ -337,56 +386,62 @@ def _evaluate_product(factors) -> Value:
     value = _evaluate(factors[0][1])
     for op, node in factors[1:]:
         rhs = _evaluate(node)
-        if op == "/" and isinstance(rhs, UPoly) and rhs.is_constant:
-            value = _scale(value, 1 / rhs.coeff(0))
-        elif op == "/":
-            value = _demote(_as_ratfunc(value) / rhs)
-        elif isinstance(value, UPoly) and isinstance(rhs, UPoly):
-            if value.is_constant:
-                value = _scale(rhs, value.coeff(0))
-            elif rhs.is_constant:
-                value = _scale(value, rhs.coeff(0))
+        if isinstance(value, tuple) and isinstance(rhs, tuple):
+            (ia, da), (ib, db) = value, rhs
+            if op == "*":
+                value = (_int_mul(ia, ib), da * db) if ia and ib else ([], 1)
+            elif len(ib) == 1:
+                # a nonzero constant c/db: multiply by db/c
+                c = ib[0]
+                value = _int_mul(ia, [db if c > 0 else -db]), da * abs(c)
             else:
-                value = value * rhs
+                value = _from_ratfunc(RatFunc(_as_upoly(value), _as_upoly(rhs)))
         else:
-            value = _demote(value * rhs)
+            a, b = _as_ratfunc(value), _as_ratfunc(rhs)
+            value = _from_ratfunc(a * b if op == "*" else a / b)
     return value
 
 
 def _evaluate_power(args) -> Value:
     base, n = args
     value = _evaluate(base)
-    if isinstance(value, UPoly) and not any(value.coeffs[:-1]):
+    if isinstance(value, RatFunc):
+        return value ** n
+    ints, den = value
+    if not n:
+        return [1], 1
+    if not any(ints[:-1]):
         # a monomial, constants and zero included
-        if not value:
-            return UPoly.one() if n == 0 else value
-        return UPoly.monomial(value.degree * n, value.leading ** n)
-    return value ** n
+        if not ints:
+            return value
+        return [0] * ((len(ints) - 1) * n) + [ints[-1] ** n], den ** n
+    return _int_pow(ints, n), den ** n
 
 
 _EVALUATORS = {
-    "neg": lambda inner: -_evaluate(inner),
+    "neg": _evaluate_neg,
     "sum": _evaluate_sum,
     "product": _evaluate_product,
     "power": _evaluate_power,
 }
 
 
-def _scale(value: Value, c: Fraction) -> Value:
-    """value * c for a rational scalar c, without a polynomial product."""
-    if isinstance(value, RatFunc):
-        return _demote(value * c)
-    return UPoly([a * c for a in value.coeffs])
+def _as_upoly(value: tuple[list[int], int]) -> UPoly:
+    ints, den = value
+    if den == 1:
+        return _upoly([Fraction(c) for c in ints])
+    return _upoly([Fraction(c, den) for c in ints])
 
 
 def _as_ratfunc(value: Value) -> RatFunc:
-    return value if isinstance(value, RatFunc) else RatFunc(value)
+    return value if isinstance(value, RatFunc) else RatFunc(_as_upoly(value))
 
 
-def _demote(value: Value) -> Value:
-    """A RatFunc with denominator 1 as its numerator; anything else as it is."""
-    if isinstance(value, RatFunc) and value.den.is_one:
-        return value.num
+def _from_ratfunc(value: RatFunc) -> Value:
+    """A RatFunc with denominator 1 as (ints, den); anything else as it is."""
+    if value.den.is_one:
+        den, ints = _integer_numerators(value.num.coeffs)
+        return ints, den
     return value
 
 

@@ -6,12 +6,13 @@ degree of the zero polynomial is the sentinel None, never -1.  A rational
 function keeps numerator and denominator coprime with a monic denominator,
 so equality is structural.  Products use Kronecker substitution: each
 operand, scaled to integer coefficients, is packed into one Python int, so
-a single big-integer product (Karatsuba in CPython) does the work.  The gcd
-works on integers too: the heuristic GCD of Char, Geddes & Gonnet (1989)
-evaluates the primitive integer numerators at a large power of two, takes
-one integer gcd and reads the gcd and both cofactors off its digits,
-accepting them only when the products check exactly; the Euclidean
-algorithm over Q is the fallback.
+a single big-integer product (Karatsuba in CPython) does the work; a
+constant operand just scales the other.  The gcd works on integers too:
+the heuristic GCD of Char, Geddes & Gonnet (1989) evaluates the primitive
+integer numerators at a large power of two, takes one integer gcd and
+reads the gcd and both cofactors off its digits, accepting them only when
+the products check exactly; the Euclidean algorithm over Q is the
+fallback.
 
 On top of the ring arithmetic this module provides the square-theoretic
 toolbox the rest of the library is built on:
@@ -266,17 +267,23 @@ class UPoly:
         parts: list[str] = []
         for k in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[k]
-            if not c:
+            # sign and size from the numerator, once per coefficient
+            num, den = c.numerator, c.denominator
+            if not num:
                 continue
+            negative = num < 0
+            if negative:
+                num = -num
+            size = str(num) if den == 1 else f"{num}/{den}"
             if k == 0:
-                body = str(abs(c))
+                body = size
             else:
                 mon = var if k == 1 else f"{var}^{k}"
-                body = mon if abs(c) == 1 else f"{abs(c)}*{mon}"
+                body = mon if num == 1 and den == 1 else f"{size}*{mon}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(f"-{body}" if negative else body)
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(parts)
 
     def __str__(self) -> str:
@@ -300,22 +307,40 @@ def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
 
 
 def _pack(ints: list[int], width: int) -> int:
-    """Value at 2^(8*width) of the integer polynomial ints, built from bytes.
+    """Value at xi = 2^(8*width) of the integer polynomial ints, from bytes.
 
-    Each coefficient fills one width-byte slot of either the positive or
-    the negative part, so packing is linear in the output size, unlike
-    shift-and-add accumulation.
+    Every coefficient must satisfy -half <= c < half, half = 2^(8*width-1)
+    (the callers size width so that |c| < half).  Adding half to each
+    slot makes every slot a nonnegative width-byte number, so the packing
+    is one bytes join, linear in the output size, and the offset
+    half * (1 + xi + ... + xi^(n-1)) is subtracted once.  A coefficient
+    out of range raises OverflowError instead of packing a wrong value.
     """
-    zero = bytes(width)
-    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in ints])
-    neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in ints])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(c + half).to_bytes(width, "little") for c in ints])
+    return int.from_bytes(raw, "little") - _offset(width, len(ints))
+
+
+def _offset(width: int, n: int) -> int:
+    """half * (1 + xi + ... + xi^(n-1)): half = 2^(8*width-1) in each of n slots."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
 
 
 def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
-    """Product of two nonzero integer polynomials by Kronecker substitution."""
+    """Product of two nonzero integer polynomials, always a new list.
+
+    A constant operand scales the other; otherwise Kronecker substitution
+    packs both into Python ints and multiplies once.
+    """
+    if len(ia) == 1:
+        c = ia[0]
+        return [c * b for b in ib]
+    if len(ib) == 1:
+        c = ib[0]
+        return [c * a for a in ia]
     # slot bytes: the top bit of a slot holds the sign of the largest
-    # possible product coefficient, min(len) * max|ia| * max|ib|
+    # possible product coefficient, min(len) * max|ia| * max|ib|, so every
+    # coefficient of the product is below half in size
     width = (max(map(abs, ia)).bit_length() + max(map(abs, ib)).bit_length()
              + min(len(ia), len(ib)).bit_length()) // 8 + 1
     pa = _pack(ia, width)
@@ -324,20 +349,16 @@ def _int_mul(ia: list[int], ib: list[int]) -> list[int]:
 
 
 def _unpack(value: int, width: int, n: int) -> list[int]:
-    """Inverse of _pack for n signed slots below 2^(8*width-1) in size.
+    """Inverse of _pack: the n coefficients, each in [-half, half), of value.
 
-    A slot that reads as negative borrows one from the slot above it, which
-    the signed carry gives back.
+    value + offset has the nonnegative slots c + half, so each slot is read
+    off its bytes with no carry between them; a value with no such n-slot
+    form raises OverflowError.
     """
-    raw = memoryview(value.to_bytes(n * width, "little", signed=True))
+    raw = (value + _offset(width, n)).to_bytes(n * width, "little")
     half = 1 << (8 * width - 1)
-    out = []
-    carry = 0
-    for k in range(0, n * width, width):
-        c = int.from_bytes(raw[k:k + width], "little") + carry
-        carry = c >= half
-        out.append(c - (half << 1) if carry else c)
-    return out
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, n * width, width)]
 
 
 def _digits(value: int, width: int) -> list[int]:
@@ -563,12 +584,20 @@ def _heuristic_gcd(f: list[int], g: list[int]):
     Cauchy's root bound a nonconstant q dividing f has |q(xi)| > xi/2.
     The same bound keeps every root of f and g below xi, so f(xi) and
     g(xi) are nonzero, and makes f(xi) and g(xi) byte packings.
+
+    When gcd(f(xi), g(xi)) is a single symmetric digit, below xi/2, f and
+    g are coprime: the gcd divides it and would otherwise exceed xi/2.
+    Then ([1], f, g) is returned at once, the result the checks would
+    reach: a candidate they accept is the gcd, here [1] with cofactors f
+    and g, and the Euclidean fallback returns the same.
     """
     bound = 2 * max(max(map(abs, f)), max(map(abs, g))) + 29
     width = bound.bit_length() // 8 + 1  # xi > bound
     for _ in range(HEURISTIC_GCD_TRIES):
         ff, gg = _pack(f, width), _pack(g, width)  # f(xi), g(xi)
         common = gcd(ff, gg)
+        if common.bit_length() < 8 * width:  # common < xi/2: one digit
+            return [1], f, g
         h = _digits(common, width)
         content = gcd(*h)  # common > 0, so h has a positive leading digit
         h = [c // content for c in h]

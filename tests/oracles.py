@@ -1,15 +1,18 @@
 """Fraction-based references for the integer front end.
 
 The library runs Yun's algorithm and the coprime basis on primitive
-integer coefficient lists, and its parser evaluates in UPoly.  The
-straightforward versions over Q below, with gcd_cofactors on UPoly values
-and a parser that evaluates every node as a RatFunc, are what the tests
-compare those against.  radical and expand are test helpers built on the
-library's own squarefree decomposition.  enumerated_subset_criterion is
+integer coefficient lists, and its parser evaluates on integer
+coefficient lists.  The straightforward versions over Q below, with
+gcd_cofactors on UPoly values and a parser that evaluates every node as
+a RatFunc, are what the tests compare those against; the parser shares
+only the library's cost budget.  radical and expand are test helpers
+built on the library's own squarefree decomposition.  enumerated_subset_criterion is
 the 2^m subset enumeration that the library's criterion, which checks at
 most three distinct parity rows, replaced.  fraction_resultant_with_quadratic
 and fraction_is_squarefree_in_z are the Fraction versions of the minimal
 polynomial kernels, which the library runs on packed integers.
+fraction_to_str prints a UPoly with Fraction comparisons on each
+coefficient, the form UPoly.to_str replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +30,16 @@ from sqrat.errors import (
     ZeroInputError,
 )
 from sqrat.lattice import BranchTable
-from sqrat.parsing import MAX_EXPONENT, MAX_NESTING, Token
+from sqrat.parsing import (
+    _X_BOUND,
+    MAX_COEFF_BITS,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    Token,
+    _Bound,
+    _check_budget,
+    _SumBound,
+)
 from sqrat.poly import (
     RatFunc,
     SqfDecomp,
@@ -155,8 +167,11 @@ def tokenize(text: str) -> list[Token]:
 class RatFuncParser:
     """The expression grammar of sqrat.parsing, evaluated node by node in RatFunc.
 
-    Same grammar, nesting limit and errors as the library parser, without
-    its cost budget; tokens are matched one at a time.
+    Same grammar, nesting limit, errors and cost budget as the library
+    parser; tokens are matched one at a time.  Each method returns a value
+    and its _Bound, and the budget is checked with the library's own
+    _Bound, _SumBound and _check_budget at the same operators, so that
+    the budget is defined once while the values are computed separately.
     """
 
     def __init__(self, text: str):
@@ -188,37 +203,46 @@ class RatFuncParser:
     def parse(self) -> RatFunc:
         if not self.tokens:
             raise ExprSyntaxError("expected an expression", position=0)
-        value = self.expr()
+        value, _ = self.expr()
         leftover = self.peek()
         if leftover is not None:
             raise ExprSyntaxError(f"unexpected {leftover.text!r}",
                                   position=leftover.position)
         return value
 
-    def expr(self) -> RatFunc:
-        value = self.term()
+    def expr(self) -> tuple[RatFunc, _Bound]:
+        value, bound = self.term()
+        total = None
         while (tok := self.peek()) is not None and tok.kind in "+-":
             self.advance()
-            rhs = self.term()
+            if total is None:
+                total = _SumBound(bound)
+            rhs, rhs_bound = self.term()
+            bound = total.add(rhs_bound)
+            _check_budget(bound, tok)
             value = value + rhs if tok.kind == "+" else value - rhs
-        return value
+        return value, bound
 
-    def term(self) -> RatFunc:
-        value = self.unary()
+    def term(self) -> tuple[RatFunc, _Bound]:
+        value, bound = self.unary()
         while (tok := self.peek()) is not None and tok.kind in "*/":
             self.advance()
-            rhs = self.unary()
+            rhs, rhs_bound = self.unary()
             if tok.kind == "*":
+                bound = bound * rhs_bound
+                _check_budget(bound, tok)
                 value = value * rhs
             else:
+                bound = bound / rhs_bound
+                _check_budget(bound, tok)
                 if rhs.is_zero:
                     raise DivisionByZeroExpressionError(
                         "denominator is identically zero",
                         position=tok.position)
                 value = value / rhs
-        return value
+        return value, bound
 
-    def unary(self) -> RatFunc:
+    def unary(self) -> tuple[RatFunc, _Bound]:
         tok = self.peek()
         if self.depth == MAX_NESTING:
             raise ExprSyntaxError(
@@ -227,18 +251,19 @@ class RatFuncParser:
         self.depth += 1
         if tok is not None and tok.kind == "-":
             self.advance()
-            value = -self.unary()
+            value, bound = self.unary()
+            value = -value
         else:
-            value = self.power()
+            value, bound = self.power()
         self.depth -= 1
-        return value
+        return value, bound
 
-    def power(self) -> RatFunc:
-        base = self.atom()
+    def power(self) -> tuple[RatFunc, _Bound]:
+        base, bound = self.atom()
         tok = self.peek()
         if tok is not None and tok.kind == "^":
             self.advance()
-            exponent = self.unary()
+            exponent, _ = self.unary()
             if not exponent.is_constant:
                 raise ExprSyntaxError("exponent must be a constant",
                                       position=tok.position)
@@ -256,24 +281,32 @@ class RatFuncParser:
                 raise ExprSyntaxError(
                     f"exponent too large (limit {MAX_EXPONENT})",
                     position=tok.position)
-            return base ** n
-        return base
+            bound = bound ** n
+            _check_budget(bound, tok)
+            return base ** n, bound
+        return base, bound
 
-    def atom(self) -> RatFunc:
+    def atom(self) -> tuple[RatFunc, _Bound]:
         tok = self.advance()
         if tok.kind == "int":
-            return RatFunc(int(tok.text))
+            digits = tok.text.lstrip("0") or "0"
+            n = int(digits) if 3 * len(digits) <= MAX_COEFF_BITS else None
+            if n is None or n > 1 << MAX_COEFF_BITS:
+                raise ExprSyntaxError(
+                    f"integer too large (limit 2^{MAX_COEFF_BITS})",
+                    position=tok.position)
+            return RatFunc(n), _Bound(0, max(n - 1, 0).bit_length(), 0, 0)
         if tok.kind == "name":
             if tok.text == "x":
-                return RatFunc(UPoly.x())
+                return RatFunc(UPoly.x()), _X_BOUND
             raise UnsupportedVariableError(
                 f"variable {tok.text!r} not supported: multivariate input "
                 "is out of scope (only x)",
                 position=tok.position)
         if tok.kind == "(":
-            value = self.expr()
+            out = self.expr()
             self.expect(")")
-            return value
+            return out
         raise ExprSyntaxError(f"unexpected {tok.text!r}",
                               position=tok.position)
 
@@ -336,3 +369,24 @@ def fraction_is_squarefree_in_z(p: ZPoly) -> bool:
         if poly_gcd(p_xi, dp_xi).is_one:
             return True
     return zp_gcd_degree_over_field(p, dp) == 0
+
+
+def fraction_to_str(p: UPoly, var: str = "x") -> str:
+    """UPoly.to_str with abs() and comparisons on each Fraction coefficient."""
+    if not p.coeffs:
+        return "0"
+    parts: list[str] = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        if k == 0:
+            body = str(abs(c))
+        else:
+            mon = var if k == 1 else f"{var}^{k}"
+            body = mon if abs(c) == 1 else f"{abs(c)}*{mon}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)

@@ -1,8 +1,9 @@
 """The integer front end against its Fraction-based references.
 
 squarefree_decompose and coprime_basis run on primitive integer
-coefficient lists, and parse_expr evaluates in UPoly; tests/oracles.py
-keeps the versions over Q and the RatFunc evaluator they replaced.
+coefficient lists, and parse_expr evaluates on integer coefficient lists;
+tests/oracles.py keeps the versions over Q and the RatFunc evaluator
+they replaced.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from oracles import (
     ratfunc_parse_expr,
 )
 from sqrat import parsing, poly
-from sqrat.errors import ParseError
+from sqrat.errors import ExprSyntaxError, ParseError
 from sqrat.parsing import parse_expr
 from sqrat.poly import UPoly, coprime_basis, squarefree_decompose
 
@@ -201,6 +202,56 @@ def test_parser_matches_on_junk(text):
     "(x+1)/(x+1)", "x/(x+1)*(x+1)", "(1/x)^3*x^3", "(x-1)/x^2 + 1/x",
     "2^3^2", "0^0", "x^0", "(0)^3", "-x^2", "x - - 1", "((x))",
     "3/(x-x+2)", "1/(x^2-1) - 1/(x-1)", "(2*x+1)^5/(4*x+2)^2",
+    # zero divisors, found without computing their products and powers
+    "1/((x-x)^2)", "1/(0^0)", "1/(x^2-x*x)", "1/(-(x-x)*(x+1))",
+    # rational constants and constant divisors
+    "x/2*3/4", "(x+1/2)^3/(1/3)", "-(x-1/2)^2", "(x^2-1)/(-2)", "0*x^5",
+    "2^3/(x-x+4)", "(1/x+1/2)*(2/3)", "x/(2/x)", "(2/x)^2*x^2/4",
+    "x + x/3 - 1/6", "x/4 - x/6 + 1", "(x/2)^3 - x^3/8",
+    # a small value over the budget: 5^3000 with an Arabic-Indic 3
+    "5^\u0663000",
 ])
 def test_parser_fixed_cases(text):
     assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)
+
+
+def test_divisor_zero_test_computes_no_power(monkeypatch):
+    # the divisor (x+1)^2048 is nonzero because x+1 is: the budget error
+    # at the last "*" comes before any power is computed
+    calls = []
+    original = parsing._int_pow
+
+    def counting(f, n):
+        calls.append(n)
+        return original(f, n)
+
+    monkeypatch.setattr(parsing, "_int_pow", counting)
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("1/(x+1)^2048*x^4096*x")
+    assert info.value.position == 19
+    assert str(info.value) == (
+        "at position 19: expression too large: degree up to 4097, "
+        "coefficients up to 2^2048 (limits 4096 and 2^8192)")
+    assert calls == []
+    assert parse_expr("1/(x+1)^3") == ratfunc_parse_expr("1/(x+1)^3")
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("text", [
+    "(x-1)^3*(x^2+2*x-3)*(x+5)", "x^5-3*x+2", "(2*x+1)^9*(x-7)^4*3",
+    "-(x^2+1)^2*(x-x+2)/4",
+])
+def test_polynomial_text_makes_no_upoly_product(monkeypatch, text):
+    calls = []
+    original = UPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(UPoly, "__mul__", counting)
+    monkeypatch.setattr(UPoly, "__rmul__", counting)
+    value = parse_expr(text)
+    assert calls == []
+    monkeypatch.undo()
+    assert value == ratfunc_parse_expr(text)

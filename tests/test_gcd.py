@@ -3,11 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sqrat import poly
-from sqrat.poly import UPoly, _euclid_gcd_cofactors, gcd_cofactors, poly_gcd
+from sqrat.poly import (
+    UPoly,
+    _euclid_gcd_cofactors,
+    _euclid_int_cofactors,
+    _heuristic_gcd,
+    _int_gcd_cofactors,
+    gcd_cofactors,
+    poly_gcd,
+)
 
 X = UPoly.x()
 
@@ -70,6 +78,8 @@ def test_high_degree_powers(a, b):
     (UPoly.constant(5), X ** 2 + 1, UPoly.one()),
     (UPoly.constant(Fraction(2, 3)), UPoly.zero(), UPoly.one()),
     (6 * X ** 2 - 6, 4 * X + 4, X + 1),
+    # the gcd's value xi - 1 is one digit short of xi, above xi/2
+    ((X - 1) * (X + 2), (X - 1) * (X + 3), X - 1),
 ])
 def test_edge_cases(a, b, g):
     result = gcd_cofactors(a, b)
@@ -134,3 +144,55 @@ def test_matches_sympy(pair):
     expected = sympy.gcd(to_sympy(a), to_sympy(b))
     g = gcd_cofactors(a, b)[0]
     assert to_sympy(g) == (expected.monic() if not expected.is_zero else expected)
+
+
+# -- coprime pairs: the heuristic GCD returns at once ----------------------
+
+
+@st.composite
+def primitive_pairs(draw):
+    """Primitive integer lists of degree >= 1, coprime over Q."""
+    ints = st.one_of(st.integers(-9, 9), st.integers(-(1 << 300), 1 << 300))
+    lists = st.lists(ints, min_size=2, max_size=7).filter(lambda f: f[-1])
+    f, g = draw(lists), draw(lists)
+    f = [c // poly.gcd(*f) for c in f]
+    g = [c // poly.gcd(*g) for c in g]
+    assume(_euclid_gcd_cofactors(UPoly(f), UPoly(g))[0].is_one)
+    return f, g
+
+
+# pairs whose values gcd(f(xi), g(xi)) are 1 or a small number above 1 at
+# the first point, where the heuristic GCD returns at once
+FIRST_POINT_PAIRS = [([0, 1], [2, 1]), ([0, 1], [1, 1]), ([0, 2], [3, 2]),
+                     ([1, 0, 1], [-1, 0, 1]), ([6, 1], [0, 0, 1])]
+# the first point proposes the false factor x + 8, which the checks reject
+COPRIME_PAIRS = FIRST_POINT_PAIRS + [([8, 1], [8, 7, 9])]
+
+
+@given(primitive_pairs())
+@settings(max_examples=150, deadline=None)
+def test_heuristic_gcd_of_a_coprime_pair_matches_euclid(pair):
+    f, g = pair
+    assert _heuristic_gcd(f, g) == _euclid_int_cofactors(f, g) == ([1], f, g)
+
+
+@pytest.mark.parametrize("f,g", COPRIME_PAIRS)
+def test_heuristic_gcd_fixed_coprime_pairs(f, g):
+    assert _heuristic_gcd(f, g) == _euclid_int_cofactors(f, g) == ([1], f, g)
+    assert gcd_cofactors(UPoly(f), UPoly(g)) == _euclid_gcd_cofactors(
+        UPoly(f), UPoly(g))
+
+
+@pytest.mark.parametrize("f,g", FIRST_POINT_PAIRS + [([4, 0, 6], [0, 3, 9])])
+def test_coprime_int_gcd_makes_no_product(monkeypatch, f, g):
+    calls = []
+    original = poly._int_mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(poly, "_int_mul", counting)
+    h, cf, cg = _int_gcd_cofactors(f, g)
+    assert (h, cf, cg) == ([1], f, g)
+    assert calls == []

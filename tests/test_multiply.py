@@ -1,5 +1,10 @@
-"""UPoly products by Kronecker substitution, checked against schoolbook."""
+"""UPoly products by Kronecker substitution, checked against schoolbook.
 
+Also the integer kernels under them: byte packing at the slot limits, and
+_int_mul with a constant operand, which scales instead of packing.
+"""
+
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -8,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqrat import resultants
-from sqrat.poly import UPoly
+from sqrat.poly import UPoly, _digits, _int_mul, _pack, _unpack
 from sqrat.resultants import ZP_ONE, zpoly
 from sylvester import zp_pow
 
@@ -95,3 +100,58 @@ def test_zp_pow_squares_only_what_it_uses(monkeypatch, n):
     assert len(calls) == n.bit_length() - 1 + bin(n).count("1")
     assert [c.coeff(0) for c in result] == [comb(n, k) for k in range(n + 1)]
     assert zp_pow(p, 0) == ZP_ONE
+
+
+# -- the integer kernels -------------------------------------------------------
+
+
+def schoolbook_int_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_pack_round_trip_at_the_slot_limits(width):
+    half = 1 << (8 * width - 1)
+    xi = 1 << (8 * width)
+    limits = [half - 1, -(half - 1), -half, 0, 1, -1]
+    for n, shift in itertools.product(range(1, 41), range(len(limits))):
+        ints = [limits[(k + shift) % len(limits)] for k in range(n)]
+        value = _pack(ints, width)
+        assert value == sum(c * xi ** k for k, c in enumerate(ints))
+        assert _unpack(value, width, n) == ints
+        trimmed = list(ints)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert _digits(value, width) == trimmed
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_pack_rejects_a_coefficient_of_half(width):
+    # the precondition |c| < half (or c = -half) is checked by to_bytes
+    half = 1 << (8 * width - 1)
+    with pytest.raises(OverflowError):
+        _pack([1, half, 0], width)
+    with pytest.raises(OverflowError):
+        _pack([-half - 1], width)
+
+
+BIG = (1 << 2000) - 12345
+CONSTANTS = [0, 1, -1, 7, -BIG, BIG]
+LISTS = [[5], [0, 1], [-3, 0, 2], [BIG, -1, 0, -BIG], [1, -1] * 20, [-BIG]]
+
+
+@pytest.mark.parametrize("c", CONSTANTS, ids=["0", "1", "-1", "7", "-big", "big"])
+@pytest.mark.parametrize("other", LISTS, ids=["5", "x", "short", "big", "long", "-big"])
+def test_int_mul_by_a_constant(c, other):
+    for a, b in ([c], other), (other, [c]):
+        before_a, before_b = list(a), list(b)
+        product = _int_mul(a, b)
+        assert product == schoolbook_int_mul(a, b)
+        assert product is not a and product is not b
+        product.append(99)
+        product[0] += 1
+        assert a == before_a and b == before_b

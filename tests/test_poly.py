@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly, ratfuncs, upolys
-from oracles import expand, radical
+from oracles import expand, fraction_to_str, radical
 from sqrat import poly
 from sqrat.errors import ConstantSubstitutionError, ZeroInputError
 from sqrat.poly import (
@@ -54,6 +54,16 @@ class TestUPolyBasics:
         assert str(-X**3 + 2) == "-x^3 + 2"
         assert str(UPoly.zero()) == "0"
         assert str(Fraction(3, 2) * X + Fraction(1, 2)) == "3/2*x + 1/2"
+
+    @given(st.lists(st.one_of(st.just(Fraction(0)), st.sampled_from(
+        [Fraction(1), Fraction(-1)]), st.builds(
+            Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**40))),
+        max_size=8).map(UPoly), st.sampled_from(["x", "t"]))
+    @settings(max_examples=300, deadline=None)
+    def test_str_matches_fraction_printer(self, p, var):
+        assert p.to_str(var) == fraction_to_str(p, var)
+        if var == "x":
+            assert str(p) == fraction_to_str(p)
 
 
 class TestGcd:
