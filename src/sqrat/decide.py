@@ -172,7 +172,11 @@ def subset_criterion(radicands: Sequence[RatFunc | UPoly]
 def subset_criterion_table(table: BranchTable
                            ) -> tuple[bool, Optional[list[int]]]:
     """Same as subset_criterion, from a prebuilt branch table."""
-    degrees = [b.degree for b in table.basis]
+    # one column mask per distinct basis degree: the class degree of a mask
+    # is the sum of degree * popcount(mask & columns)
+    columns: dict[int, int] = {}
+    for j, b in enumerate(table.basis):
+        columns[b.degree] = columns.get(b.degree, 0) | 1 << j
     first: dict[int, int] = {}
     for i, row in enumerate(table.parity_masks(include_infinity=False)):
         first.setdefault(row, i)
@@ -182,12 +186,8 @@ def subset_criterion_table(table: BranchTable
             for row, _ in combo:
                 mask ^= row
             class_degree = 0
-            j = 0
-            while mask:
-                if mask & 1:
-                    class_degree += degrees[j]
-                mask >>= 1
-                j += 1
+            for degree, cols in columns.items():
+                class_degree += degree * (mask & cols).bit_count()
             if class_degree > 2:
                 return False, [i for _, i in combo]
     return True, None

@@ -35,7 +35,12 @@ operand is.  The tree is then evaluated on integers: a polynomial is an
 integer coefficient list over a positive integer denominator, so sums,
 products, powers and divisions by constants are integer list operations,
 a RatFunc is built only at a "/" whose divisor is not constant, and the
-result becomes a UPoly or RatFunc once, at the end.
+result becomes a UPoly or RatFunc once, at the end.  Powers of short
+bases take no product of polynomials (poly._int_pow).  RatFunc steps
+reduce by a gcd only when they must: a quotient with a power p^a as one
+operand is coprime when p is coprime to the other, a small gcd in place
+of the large one, and RatFunc arithmetic with a constant or polynomial
+operand keeps N/D reduced without one.
 
 Radicand files hold one radicand per line, UTF-8, with # comments and
 blank lines ignored and an optional "root[e]:" prefix selecting the root
@@ -62,6 +67,8 @@ from .errors import (
 from .poly import (
     RatFunc,
     UPoly,
+    _coprime_ratfunc,
+    _int_gcd_cofactors,
     _int_mul,
     _int_pow,
     _int_sub,
@@ -383,7 +390,8 @@ def _evaluate_sum(terms) -> Value:
 
 
 def _evaluate_product(factors) -> Value:
-    value = _evaluate(factors[0][1])
+    left = factors[0][1]  # the node of value, while value is one factor
+    value = _evaluate(left)
     for op, node in factors[1:]:
         rhs = _evaluate(node)
         if isinstance(value, tuple) and isinstance(rhs, tuple):
@@ -394,27 +402,46 @@ def _evaluate_product(factors) -> Value:
                 # a nonzero constant c/db: multiply by db/c
                 c = ib[0]
                 value = _int_mul(ia, [db if c > 0 else -db]), da * abs(c)
+            elif ia and (_power_coprime_to(node, ia)
+                         or _power_coprime_to(left, ib)):
+                value = _coprime_ratfunc(_as_upoly(value), _as_upoly(rhs))
             else:
                 value = _from_ratfunc(RatFunc(_as_upoly(value), _as_upoly(rhs)))
         else:
             a, b = _as_ratfunc(value), _as_ratfunc(rhs)
             value = _from_ratfunc(a * b if op == "*" else a / b)
+        left = None
     return value
+
+
+def _power_coprime_to(node: _Node | None, ints: list[int]) -> bool:
+    """Whether node is a power p^a, a >= 2, of a polynomial p coprime to ints.
+
+    gcd(p^a, D) = 1 iff gcd(p, D) = 1, so the gcd taken is the small one.
+    Nested powers (p^a)^b descend to p; with a = 1 the base is the
+    operand itself and no gcd is taken.
+    """
+    exponent = 1
+    while node is not None and node.op == "power":
+        node, n = node.args
+        exponent *= n
+    if exponent < 2:
+        return False
+    base = _evaluate(node)
+    return (isinstance(base, tuple) and bool(base[0])
+            and len(_int_gcd_cofactors(base[0], ints)[0]) == 1)
 
 
 def _evaluate_power(args) -> Value:
     base, n = args
+    if not n:
+        return [1], 1
     value = _evaluate(base)
     if isinstance(value, RatFunc):
         return value ** n
     ints, den = value
-    if not n:
-        return [1], 1
-    if not any(ints[:-1]):
-        # a monomial, constants and zero included
-        if not ints:
-            return value
-        return [0] * ((len(ints) - 1) * n) + [ints[-1] ** n], den ** n
+    if not ints:
+        return value
     return _int_pow(ints, n), den ** n
 
 

@@ -4,10 +4,15 @@ A polynomial is a dense tuple of `fractions.Fraction` coefficients in one
 distinguished variable, constant term first, with no trailing zeros.  The
 degree of the zero polynomial is the sentinel None, never -1.  A rational
 function keeps numerator and denominator coprime with a monic denominator,
-so equality is structural.  Products use Kronecker substitution: each
+so equality is structural; negation, and sums, products and quotients
+with a constant (sums with a polynomial), keep that form without a gcd.
+Products use Kronecker substitution: each
 operand, scaled to integer coefficients, is packed into one Python int, so
 a single big-integer product (Karatsuba in CPython) does the work; a
-constant operand just scales the other.  The gcd works on integers too:
+constant operand just scales the other.  Powers of a base with fewer
+terms than the exponent come from Miller's recurrence on the integer
+coefficients, one coefficient at a time, with no big product; others
+square repeatedly.  The gcd works on integers too:
 the heuristic GCD of Char, Geddes & Gonnet (1989) evaluates the primitive
 integer numerators at a large power of two, takes one integer gcd and
 reads the gcd and both cofactors off its digits, accepting them only when
@@ -18,7 +23,8 @@ On top of the ring arithmetic this module provides the square-theoretic
 toolbox the rest of the library is built on:
 
   * gcd with cofactors and squarefree decomposition (Yun's algorithm,
-    characteristic 0, run on the primitive integer coefficient list);
+    characteristic 0, run on the primitive integer coefficient list,
+    stepping over multiplicities that do not occur at one packed point);
   * square classes modulo (Q(x)*)^2: every nonzero f factors uniquely as
     c * g * h^2 with c a rational constant, g monic squarefree and h a
     rational function with monic numerator and denominator;
@@ -200,15 +206,13 @@ class UPoly:
     def __pow__(self, n: int) -> UPoly:
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = UPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if not n:
+            return UPoly.one()
+        if n == 1 or not self._coeffs:
+            return self
+        den, ints = _integer_numerators(self._coeffs)
+        den **= n
+        return _upoly([Fraction(c, den) for c in _int_pow(ints, n)])
 
     def __divmod__(self, other) -> tuple[UPoly, UPoly]:
         other = _coerce_upoly(other)
@@ -447,12 +451,17 @@ class RatFunc:
     __hash__ = None
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self._num, self._den)
+        return _coprime_ratfunc(-self._num, self._den)
 
     def __add__(self, other) -> RatFunc:
         other = _coerce_ratfunc(other)
         if other is None:
             return NotImplemented
+        a, p = (other, self) if self._den.is_one else (self, other)
+        if p._den.is_one:
+            # a polynomial p: a common factor of N + p*D and D divides N,
+            # so (N + p*D)/D is reduced because N/D is
+            return _coprime_ratfunc(a._num + p._num * a._den, a._den)
         return RatFunc(self._num * other._den + other._num * self._den,
                        self._den * other._den)
 
@@ -474,6 +483,10 @@ class RatFunc:
         other = _coerce_ratfunc(other)
         if other is None:
             return NotImplemented
+        a, c = (other, self) if self.is_constant else (self, other)
+        if c.is_constant and c:
+            # c*N/D is reduced because N/D is
+            return _coprime_ratfunc(a._num * c._num, a._den)
         return RatFunc(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
@@ -484,6 +497,12 @@ class RatFunc:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
+        # by or into a nonzero constant c: (N/c)/D and c*D/N are reduced
+        # because N/D is
+        if other.is_constant:
+            return _coprime_ratfunc(self._num / other.as_fraction, self._den)
+        if self.is_constant and self:
+            return _coprime_ratfunc(self._num * other._den, other._num)
         return RatFunc(self._num * other._den, self._den * other._num)
 
     def __rtruediv__(self, other) -> RatFunc:
@@ -499,12 +518,9 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of zero")
-            num, den = den / num.leading, num / num.leading
-        # powers of coprime polynomials are coprime, and a power of a monic
-        # denominator is monic: the result is reduced without a gcd
-        out = RatFunc.__new__(RatFunc)
-        out._num, out._den = num, den
-        return out
+            num, den = den, num
+        # powers of coprime polynomials are coprime
+        return _coprime_ratfunc(num, den)
 
     def to_str(self, var: str = "x") -> str:
         if self._den.is_one:
@@ -516,6 +532,19 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc[{self.to_str()}]"
+
+
+def _coprime_ratfunc(num: UPoly, den: UPoly) -> RatFunc:
+    """num/den for coprime num and nonzero den, reduced without a gcd.
+
+    Only the denominator is made monic; num must be nonzero unless den is 1.
+    """
+    lead = den.leading
+    if lead != 1:
+        num, den = num / lead, den / lead
+    out = RatFunc.__new__(RatFunc)
+    out._num, out._den = num, den
+    return out
 
 
 def _coerce_ratfunc(value) -> RatFunc | None:
@@ -716,20 +745,61 @@ def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     b = f/g and c = f'/g carry the same constant factor as Yun's monic
     b and c, and so does d = c - b'; each step divides b and d by the
     same p, so the scale stays common and d stays exact.
+
+    A step that finds no factor leaves b as it is and sets c = d, so the
+    steps after it use d - b', d - 2b', ... until one finds a factor;
+    _empty_steps counts those that do not on packed integers, and the
+    loop resumes at the first that may, so multiplicities that do not
+    occur cost no gcd of polynomials.
     """
     _, b, c = _int_gcd_cofactors(f, _int_derivative(f))
     parts = []
     i = 1
     while len(b) > 1:
-        d = _int_sub(c, _int_derivative(b))
+        db = _int_derivative(b)
+        d = _int_sub(c, db)
         if not d:  # every factor left in b has multiplicity i
             parts.append((b, i))
             break
         p, b, c = _int_gcd_cofactors(b, d)
         if len(p) > 1:
             parts.append((p, i))
+        else:  # no factor of multiplicity i: b stays and c = d
+            skip = _empty_steps(b, d, db, len(f) - 1)
+            if skip:
+                c = _int_sub(d, [skip * x for x in db])
+            i += skip
         i += 1
     return parts
+
+
+def _empty_steps(b: list[int], d: list[int], db: list[int], deg: int) -> int:
+    """How many steps after an empty step of Yun's loop are empty too.
+
+    That is the k >= 0 with d - j*db nonzero and coprime to b for
+    j = 1..k, where j = k + 1 may not be; db = b', b is nonconstant and
+    deg is the degree of the f that Yun's loop decomposes.
+
+    b, d and db are packed once at xi = 2^(8*width) with
+    xi > 2*max(|b|, |d| + deg*|db|) + 29 (max norms); each step is then
+    D -= B1 and one integer gcd.  No multiplicity exceeds deg, so the loop
+    ends by j = deg, and every d - j*db up to there has coefficients below
+    xi/2 in size: D is its slot packing, and D = 0 iff d - j*db = 0.  A
+    gcd(B, D) below xi/2 proves coprimality, as in _heuristic_gcd: a
+    nonconstant primitive common factor h divides b in Z[x] (Gauss), its
+    roots are below |b| + 1 < xi/2 - 1 in size (Cauchy), so |h(xi)| > xi/2,
+    and h(xi) divides both B and D.  A gcd of at least xi/2, or D = 0,
+    stops the count; if that was a false alarm, the ordinary step that
+    follows finds no factor and calls this again.
+    """
+    norm = max(max(map(abs, b)), max(map(abs, d)) + deg * max(map(abs, db)))
+    width = (2 * norm + 29).bit_length() // 8 + 1
+    big, value, step = _pack(b, width), _pack(d, width), _pack(db, width)
+    for k in range(deg):
+        value -= step
+        if not value or gcd(big, value).bit_length() >= 8 * width:
+            return k
+    raise RuntimeError("Yun's loop passed the degree of its input")
 
 
 def _int_derivative(f: list[int]) -> list[int]:
@@ -747,7 +817,41 @@ def _int_sub(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_pow(f: list[int], n: int) -> list[int]:
-    """f^n for n >= 1 by repeated squaring."""
+    """f^n for a nonzero integer list f and n >= 1; f itself when n = 1.
+
+    Write f = x^v * q with q_0 = q(0) != 0, and let t be the number of
+    nonzero q_i with i >= 1.  When t < n, the coefficients a_k of q^n
+    come from J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    a_0 = q_0^n and
+
+        k * q_0 * a_k = sum over i = 1..min(d, k), q_i != 0,
+                        of ((n + 1)*i - k) * q_i * a_(k-i),
+
+    the coefficient of x^(k-1) in q * (q^n)' = n * q' * q^n.  The a_k are
+    the coefficients of the integer polynomial q^n, so every division by
+    k * q_0 is exact over Z; the cost is n*d*t products of a coefficient
+    by a small integer, and no product of two long polynomials.  When
+    t >= n (long bases, small exponents), repeated squaring with _int_mul
+    is cheaper.
+    """
+    if n == 1:
+        return f
+    v = 0
+    while not f[v]:
+        v += 1
+    q0 = f[v]
+    terms = [(i, c) for i, c in enumerate(f[v + 1:], 1) if c]
+    if len(terms) < n:
+        a = [q0 ** n]
+        n1 = n + 1
+        for k in range(1, (len(f) - 1 - v) * n + 1):
+            s = 0
+            for i, c in terms:
+                if i > k:
+                    break
+                s += (n1 * i - k) * c * a[k - i]
+            a.append(s // (k * q0))
+        return [0] * (v * n) + a if v else a
     result = None
     while True:
         if n & 1:

@@ -12,7 +12,9 @@ most three distinct parity rows, replaced.  fraction_resultant_with_quadratic
 and fraction_is_squarefree_in_z are the Fraction versions of the minimal
 polynomial kernels, which the library runs on packed integers.
 fraction_to_str prints a UPoly with Fraction comparisons on each
-coefficient, the form UPoly.to_str replaced.
+coefficient, the form UPoly.to_str replaced.  squaring_int_pow raises an
+integer list to a power by repeated squaring, as the library did before
+it took powers of short bases by Miller's recurrence.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from sqrat.poly import (
     RatFunc,
     SqfDecomp,
     UPoly,
+    _int_mul,
     gcd_cofactors,
     poly_gcd,
     squarefree_decompose,
@@ -390,3 +393,15 @@ def fraction_to_str(p: UPoly, var: str = "x") -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
+
+
+def squaring_int_pow(f: list[int], n: int) -> list[int]:
+    """f^n for n >= 1 by repeated squaring with _int_mul."""
+    result = None
+    while True:
+        if n & 1:
+            result = f if result is None else _int_mul(result, f)
+        n >>= 1
+        if not n:
+            return result
+        f = _int_mul(f, f)

@@ -49,6 +49,45 @@ def test_squarefree_matches_fraction_yun(f):
     assert squarefree_decompose(f) == fraction_squarefree_decompose(f)
 
 
+# factors whose derivatives outgrow them (40*x^3 + x + 1), and gaps in the
+# multiplicities that Yun's loop steps over on packed integers
+GAP_FACTORS = [X + 2, X - 1, 40 * X**3 + X + 1, X**2 + 1, 3 * X**2 - 7 * X + 2]
+
+
+@pytest.mark.parametrize("mults", [(1, 60), (3, 17, 40), (2, 4), (5,),
+                                   (1, 2, 9), (40, 41)])
+@pytest.mark.parametrize("scale", [1, Fraction(-3, 7), 1 << 80])
+def test_squarefree_with_gapped_multiplicities(mults, scale):
+    f = UPoly.constant(scale)
+    for factor, m in zip(GAP_FACTORS[len(mults) % 3:], mults):
+        f = f * factor ** m
+    decomposition = squarefree_decompose(f)
+    assert decomposition == fraction_squarefree_decompose(f)
+    assert [m for _, m in decomposition.parts] == sorted(mults)
+
+
+def test_yun_steps_over_absent_multiplicities(monkeypatch):
+    # (x+2)^60 * (x-1): gcd(f, f'), the step that finds x - 1 and one
+    # empty step; multiplicities 3..59 cost no gcd of polynomials
+    calls = []
+    original = poly._int_gcd_cofactors
+    monkeypatch.setattr(poly, "_int_gcd_cofactors",
+                        lambda f, g: calls.append(1) or original(f, g))
+    f = poly._primitive(((X + 2) ** 60 * (X - 1)).coeffs)[1]
+    parts = poly._int_squarefree(f)
+    assert len(calls) <= 3
+    assert [(poly._monic(p), i) for p, i in parts] == [(X - 1, 1), (X + 2, 60)]
+
+
+def test_empty_steps_pack_a_derivative_larger_than_b_and_d():
+    # b = x*(45x^3 + x + 1), b' = 180x^3 + 2x + 1 and d = 3: d - j*b' is
+    # coprime to b for j = 1, 2 and divisible by x at j = 3.  |b'| = 180
+    # outgrows the slots that |b| and |d| alone would ask for, so the
+    # width must cover d - j*b' up to j = deg
+    b, d = [0, 1, 1, 0, 45], [3]
+    assert poly._empty_steps(b, d, poly._int_derivative(b), 4) == 2
+
+
 @given(families)
 @settings(max_examples=60, deadline=None)
 def test_coprime_basis_matches_fraction_basis(fs):
@@ -210,6 +249,17 @@ def test_parser_matches_on_junk(text):
     "x + x/3 - 1/6", "x/4 - x/6 + 1", "(x/2)^3 - x^3/8",
     # a small value over the budget: 5^3000 with an Arabic-Indic 3
     "5^\u0663000",
+    # quotients of powers, coprime or not, and quotients scaled by
+    # constants or shifted by polynomials
+    "x^3/(x+1)^3", "(x+1)^3/(x^2-1)^2", "(x^2-1)^2/(x+1)^3", "(2*x+1)^3/(4*x+2)",
+    "(x+1)^3/(x+2)^3/3", "3*((x+1)/(x+2))^2", "((x+1)/(x+2))^2*(-3/2)",
+    "2/((x+1)/(3*x+2))", "(x+1)/(x+2)+x^2", "x^2-(2*x+1)/(x+2)",
+    "(1/(x+1))^0/(x+2)", "0^0/(x+1)", "0/(x+1)^2", "(x-x)*((x+1)/(x+2))",
+    # a RatFunc to the power 0 is the constant 1, so these divisors are zero
+    "x/(((x+1)/(x+2))^0-1)", "x/(((x+1)/(x+2))^0*3-3)",
+    # nested powers, with and without a factor shared with the other side
+    "(x+1)^4/((x^2-1)^2)^1", "((x+1)^2)^3/(x^2-1)", "(x^2-1)/((x+1)^2)^3",
+    "((x+2)^2)^3/(x^2-1)", "(x^2-1)^1/(x+1)", "((x+1)^2)^0/(x+1)",
 ])
 def test_parser_fixed_cases(text):
     assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)
@@ -255,3 +305,68 @@ def test_polynomial_text_makes_no_upoly_product(monkeypatch, text):
     assert calls == []
     monkeypatch.undo()
     assert value == ratfunc_parse_expr(text)
+
+
+# -- quotients that are reduced without a gcd of the large operands ------------
+
+POWER_BASES = ["x", "x+1", "x-1", "2*x+1", "x^2-1", "x^2+x+1", "(x+1)*(x-2)",
+               "3", "x^2+2*x+1"]
+
+
+@given(st.sampled_from(POWER_BASES), st.integers(0, 12),
+       st.sampled_from(POWER_BASES), st.integers(1, 12),
+       st.sampled_from(["{}/{}", "{}*x/{}", "1/{}/{}", "({})^1/{}",
+                        "{}/({})^2"]),
+       st.sampled_from(["", "/3", "*(-2)", "+1", "-x^2", "*(x+1)"]),
+       st.sampled_from(["", "3*", "x-", "2/"]))
+@settings(max_examples=200, deadline=None)
+def test_quotients_of_powers_match_ratfunc_evaluator(p, a, q, b, form,
+                                                     suffix, prefix):
+    text = prefix + "(" + form.format(f"({p})^{a}", f"({q})^{b}") + ")" + suffix
+    assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)
+
+
+def test_quotient_of_coprime_powers_takes_only_small_gcds(monkeypatch):
+    big = []
+    real_cofactors = poly.gcd_cofactors
+    real_int = parsing._int_gcd_cofactors
+
+    def cofactors(a, b):
+        big.append((a.degree, b.degree))
+        return real_cofactors(a, b)
+
+    def int_cofactors(f, g):
+        if min(len(f), len(g)) > 2:
+            big.append((len(f) - 1, len(g) - 1))
+        return real_int(f, g)
+
+    monkeypatch.setattr(poly, "gcd_cofactors", cofactors)
+    monkeypatch.setattr(parsing, "_int_gcd_cofactors", int_cofactors)
+    value = parse_expr("x^2048/(x+1)^2048")
+    assert big == []
+    assert value.num == X ** 2048 and value.den == (X + 1) ** 2048
+
+
+def test_quotient_with_a_shared_factor_takes_one_large_gcd(monkeypatch):
+    # the power on the right is ((x^2-1)^20)^1: its base is x^2-1, and the
+    # small gcds with x^2-1 and x+1 find the shared factor x+1 before the
+    # one gcd of the large operands
+    large = []
+    small = []
+    real_cofactors = poly.gcd_cofactors
+    real_int = parsing._int_gcd_cofactors
+
+    def cofactors(a, b):
+        large.append((a.degree, b.degree))
+        return real_cofactors(a, b)
+
+    def int_cofactors(f, g):
+        small.append(min(len(f), len(g)) - 1)
+        return real_int(f, g)
+
+    monkeypatch.setattr(poly, "gcd_cofactors", cofactors)
+    monkeypatch.setattr(parsing, "_int_gcd_cofactors", int_cofactors)
+    value = parse_expr("(x+1)^40/((x^2-1)^20)^1")
+    assert large == [(40, 40)]
+    assert sorted(small) == [1, 2]
+    assert value.num == (X + 1) ** 20 and value.den == (X - 1) ** 20

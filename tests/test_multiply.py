@@ -1,7 +1,9 @@
 """UPoly products by Kronecker substitution, checked against schoolbook.
 
-Also the integer kernels under them: byte packing at the slot limits, and
-_int_mul with a constant operand, which scales instead of packing.
+Also the integer kernels under them: byte packing at the slot limits,
+_int_mul with a constant operand, which scales instead of packing, and
+_int_pow, which takes powers of short bases by Miller's recurrence and of
+long bases by repeated squaring.
 """
 
 import itertools
@@ -12,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqrat import resultants
-from sqrat.poly import UPoly, _digits, _int_mul, _pack, _unpack
+from oracles import squaring_int_pow
+from sqrat import poly, resultants
+from sqrat.poly import UPoly, _digits, _int_mul, _int_pow, _pack, _unpack
 from sqrat.resultants import ZP_ONE, zpoly
 from sylvester import zp_pow
 
@@ -72,6 +75,7 @@ POWERS = [1, 2, 3, 64, 130, 4096]
 
 @pytest.mark.parametrize("n", POWERS)
 def test_pow_squares_only_what_it_uses(monkeypatch, n):
+    # a power is one call of the integer kernel, never a UPoly product
     calls = []
     original = UPoly.__mul__
 
@@ -81,8 +85,18 @@ def test_pow_squares_only_what_it_uses(monkeypatch, n):
 
     monkeypatch.setattr(UPoly, "__mul__", counting)
     result = X ** n
-    assert len(calls) == n.bit_length() - 1 + bin(n).count("1")
+    assert calls == []
     assert result == UPoly.monomial(n)
+
+
+@given(a=st.lists(coefficients, max_size=5).map(UPoly), n=st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_pow_matches_repeated_schoolbook_products(a, n):
+    expected = UPoly.one()
+    for _ in range(n):
+        expected = schoolbook_mul(expected, a)
+    assert a ** n == expected
+    assert a ** 1 is a
 
 
 @pytest.mark.parametrize("n", POWERS[:5])
@@ -155,3 +169,69 @@ def test_int_mul_by_a_constant(c, other):
         product.append(99)
         product[0] += 1
         assert a == before_a and b == before_b
+
+
+# -- _int_pow against repeated squaring ----------------------------------------
+
+small = st.integers(-3, 3)
+huge = st.integers(-2**2000, 2**2000)
+
+
+@st.composite
+def int_powers(draw):
+    """(f, n) with f = x^v * q, q(0) != 0: sparse bases of small or
+    2,000-bit coefficients, exponents up to 300 on short bases."""
+    big = draw(st.booleans())
+    n = draw(st.integers(1, 6 if big else 300))
+    coeff = huge if big else small
+    q = draw(st.lists(st.one_of(st.just(0), coeff),
+                      max_size=min(8, 300 // n)))
+    q = [draw(coeff.filter(bool))] + q + [draw(coeff.filter(bool))]
+    return [0] * draw(st.integers(0, 3)) + q[:draw(st.integers(1, len(q)))], n
+
+
+@st.composite
+def powers_near_the_switch(draw):
+    """(f, n) whose base has t = n - 1, n or n + 1 nonzero terms above q(0)."""
+    n = draw(st.integers(1, 9))
+    t = max(0, n + draw(st.integers(-1, 1)))
+    slots = draw(st.lists(st.integers(1, t + 3), min_size=t, max_size=t,
+                          unique=True))
+    q = [0] * (max(slots, default=0) + 1)
+    coeff = st.one_of(small, huge) if n <= 4 else small
+    for i in [0] + slots:
+        q[i] = draw(coeff.filter(bool))
+    return [0] * draw(st.integers(0, 2)) + q, n
+
+
+@given(st.one_of(int_powers(), powers_near_the_switch()))
+@settings(max_examples=100, deadline=None)
+def test_int_pow_matches_repeated_squaring(case):
+    f, n = case
+    assert _int_pow(f, n) == squaring_int_pow(f, n)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_int_pow_binomials(sign):
+    n, c = 4096, 1
+    expected = []
+    for k in range(n + 1):  # c = comb(n, k)
+        expected.append(c if sign > 0 or (n - k) % 2 == 0 else -c)
+        c = c * (n - k) // (k + 1)
+    assert _int_pow([sign, 1], n) == expected
+
+
+@pytest.mark.parametrize("f,n,products", [
+    ([1, 1], 300, 0), ([0, 0, 5], 7, 0), ([3, 0, -2, 0, 1], 3, 0),
+    ([0, -1, 0, 0, 2], 2, 0), ([7], 5, 0),
+    # t >= n: long bases and small exponents square instead
+    ([1, 1, 1], 2, 1), ([2, 1, 0, 1], 2, 1), ([1, 1], 1, 0),
+])
+def test_int_pow_multiplies_only_long_bases(monkeypatch, f, n, products):
+    calls = []
+    monkeypatch.setattr(poly, "_int_mul",
+                        lambda a, b: calls.append(1) or _int_mul(a, b))
+    result = _int_pow(f, n)
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert result == squaring_int_pow(f, n)

@@ -147,6 +147,43 @@ class TestRatFuncPower:
         assert calls == []
 
 
+class TestRatFuncWithAPolynomial:
+    """Arithmetic of N/D with a polynomial or constant operand keeps it reduced
+    without a gcd; the references reduce the unreduced result by one."""
+
+    @given(ratfuncs(4), st.one_of(upolys(3), upolys(0)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_reduced_constructor(self, f, p):
+        n, d = f.num, f.den
+        for g, q in ((f, RatFunc(p)), (RatFunc(p), f)):
+            assert g + q == RatFunc(n + p * d, d)
+            assert -g == RatFunc(-g.num, g.den)
+        assert f - p == RatFunc(n - p * d, d)
+        assert p - f == RatFunc(p * d - n, d)
+        assert f * p == RatFunc(n * p, d) == p * f
+        if p:
+            assert f / p == RatFunc(n, d * p)
+        if f:
+            assert p / f == RatFunc(p * d, n)
+
+    def test_takes_no_gcd(self, monkeypatch):
+        f = RatFunc(3 * X + 3, 2 * (X + 2) ** 2)
+        calls = []
+        real = poly.gcd_cofactors
+        monkeypatch.setattr(poly, "gcd_cofactors",
+                            lambda *args: calls.append(args) or real(*args))
+        for p in (X**2 - 1, UPoly.zero(), Fraction(-2, 3), 5, 0):
+            f + p, p + f, f - p, p - f, -f
+        for c in (Fraction(-2, 3), 5, UPoly.constant(7)):
+            f * c, c * f, f / c, c / f
+        f * 0, 0 * f, 0 / f
+        assert calls == []
+        assert f - (X**2 - 1) + (X**2 - 1) == f
+        assert (f + 1) * 0 == 0 and (-f * 0).den.is_one
+        assert f / Fraction(3, 2) * Fraction(3, 2) == f
+        assert Fraction(3, 2) / (Fraction(3, 2) / f) == f
+
+
 class TestSquarefreePart:
     def test_strip_even_powers(self):
         assert squarefree_part(RatFunc(X**2 * (X - 1))) == X - 1
