@@ -77,7 +77,6 @@ from .genus import (
 )
 from .lattice import (
     BranchTable,
-    _coerce_radicands,
     branch_count,
     build_branch_table,
 )
@@ -114,7 +113,6 @@ class Verdict:
 
 def decide_single_sqrt(f: RatFunc | UPoly) -> Verdict:
     """Rationalizability of a single square root: genus zero test."""
-    [f] = _coerce_radicands([f])
     g = hyperelliptic_genus(f)
     status = RATIONALIZABLE if g == 0 else NOT_RATIONALIZABLE
     return Verdict(status=status, genus=g)
@@ -122,7 +120,6 @@ def decide_single_sqrt(f: RatFunc | UPoly) -> Verdict:
 
 def decide_single_root(f: RatFunc | UPoly, e: int) -> Verdict:
     """Rationalizability of a single e-th root via the cyclic cover genus."""
-    [f] = _coerce_radicands([f])
     g = cyclic_cover_genus(CoverSpec(f, e))
     status = RATIONALIZABLE if g == 0 else NOT_RATIONALIZABLE
     return Verdict(status=status, genus=g)

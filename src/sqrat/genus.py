@@ -28,12 +28,14 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import (
-    NormalFormViolationError,
-    ReduciblePowerError,
-    ZeroRadicandError,
+from .errors import NormalFormViolationError, ReduciblePowerError
+from .lattice import (
+    BranchTable,
+    LatticeSummary,
+    _coerce_radicands,
+    branch_count,
+    build_branch_table,
 )
-from .lattice import BranchTable, LatticeSummary, branch_count, build_branch_table
 from .poly import RatFunc, UPoly, squarefree_part
 
 
@@ -53,17 +55,11 @@ class CoverSpec:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rad = self.radicand
-        if isinstance(rad, UPoly):
-            rad = RatFunc(rad)
-            object.__setattr__(self, "radicand", rad)
-        if not isinstance(rad, RatFunc):
-            raise TypeError("radicand must be a RatFunc or UPoly")
-        if rad.is_zero:
-            raise ZeroRadicandError("zero radicand in cover")
+        table = build_branch_table([self.radicand])  # validates the radicand
+        rad = table.radicands[0]
+        object.__setattr__(self, "radicand", rad)
         if not isinstance(self.order, int) or self.order < 2:
             raise ValueError("root order must be an integer >= 2")
-        table = build_branch_table([rad])
         vals = tuple(zip((b.degree for b in table.basis), table.exponents[0]))
         vals += ((1, -(rad.num.degree - rad.den.degree)),)  # place at infinity
         object.__setattr__(self, "_valuations", vals)
@@ -107,10 +103,7 @@ def multiquadratic_genus_summary(summary: LatticeSummary) -> int:
 
 def hyperelliptic_genus(f: RatFunc | UPoly) -> int:
     """Genus of z^2 = f via the degree of the squarefree class of f."""
-    if isinstance(f, UPoly):
-        f = RatFunc(f)
-    if f.is_zero:
-        raise ZeroRadicandError("zero radicand")
+    [f] = _coerce_radicands([f])
     d = squarefree_part(f).degree
     if d == 0:
         return 0

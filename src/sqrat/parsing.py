@@ -35,12 +35,13 @@ operand is.  The tree is then evaluated on integers: a polynomial is an
 integer coefficient list over a positive integer denominator, so sums,
 products, powers and divisions by constants are integer list operations,
 a RatFunc is built only at a "/" whose divisor is not constant, and the
-result becomes a UPoly or RatFunc once, at the end.  Powers of short
-bases take no product of polynomials (poly._int_pow).  RatFunc steps
-reduce by a gcd only when they must: a quotient with a power p^a as one
-operand is coprime when p is coprime to the other, a small gcd in place
-of the large one, and RatFunc arithmetic with a constant or polynomial
-operand keeps N/D reduced without one.
+result becomes a UPoly or RatFunc once, at the end.  A power of a power,
+(p^a)^b, is read as the one node p^(a*b), with the same bound, and
+powers of short bases take no product of polynomials (poly._int_pow).
+RatFunc steps reduce by a gcd only when they must: a quotient with a
+power p^a as one operand is coprime when p is coprime to the other, a
+small gcd in place of the large one, and RatFunc arithmetic with a
+constant or polynomial operand keeps N/D reduced without one.
 
 Radicand files hold one radicand per line, UTF-8, with # comments and
 blank lines ignored and an optional "root[e]:" prefix selecting the root
@@ -291,6 +292,9 @@ class _Parser:
                     position=tok.position)
             bound = base.bound ** n
             _check_budget(bound, tok)
+            if base.op == "power":  # (p^a)^n = p^(a*n), one node
+                base, a = base.args
+                n *= a
             return _Node("power", (base, n), bound)
         return base
 
@@ -418,16 +422,12 @@ def _power_coprime_to(node: _Node | None, ints: list[int]) -> bool:
     """Whether node is a power p^a, a >= 2, of a polynomial p coprime to ints.
 
     gcd(p^a, D) = 1 iff gcd(p, D) = 1, so the gcd taken is the small one.
-    Nested powers (p^a)^b descend to p; with a = 1 the base is the
-    operand itself and no gcd is taken.
+    The parser folds nested powers, so p is not a power; with a = 1 the
+    base is the operand itself and no gcd is taken.
     """
-    exponent = 1
-    while node is not None and node.op == "power":
-        node, n = node.args
-        exponent *= n
-    if exponent < 2:
+    if node is None or node.op != "power" or node.args[1] < 2:
         return False
-    base = _evaluate(node)
+    base = _evaluate(node.args[0])
     return (isinstance(base, tuple) and bool(base[0])
             and len(_int_gcd_cofactors(base[0], ints)[0]) == 1)
 

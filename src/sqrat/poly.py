@@ -16,8 +16,10 @@ square repeatedly.  The gcd works on integers too:
 the heuristic GCD of Char, Geddes & Gonnet (1989) evaluates the primitive
 integer numerators at a large power of two, takes one integer gcd and
 reads the gcd and both cofactors off its digits, accepting them only when
-the products check exactly; the Euclidean algorithm over Q is the
-fallback.
+the products check exactly.  It needs no other algorithm: past a width
+that Mignotte's and Hadamard's bounds give from the inputs alone, the
+digits are the gcd times a divisor of the cofactors' resultant, so the
+checks cannot fail there (_heuristic_gcd).
 
 On top of the ring arithmetic this module provides the square-theoretic
 toolbox the rest of the library is built on:
@@ -558,9 +560,6 @@ def _coerce_ratfunc(value) -> RatFunc | None:
 # -- gcd and squarefree structure ------------------------------------------
 
 
-HEURISTIC_GCD_TRIES = 6
-
-
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     """Monic greatest common divisor; gcd(0, 0) = 0."""
     return gcd_cofactors(a, b)[0]
@@ -569,14 +568,20 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
 def gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
     """(g, a/g, b/g) with g the monic gcd of a and b; gcd(0, 0) = (0, 0, 0).
 
-    Heuristic GCD (Char, Geddes & Gonnet 1989) on the primitive integer
-    numerators f and g of a and b; falls back to the Euclidean algorithm
-    over Q when HEURISTIC_GCD_TRIES evaluation points all fail.
+    A zero operand leaves the other, c, as the gcd up to its leading
+    coefficient: c = lead(c) * monic(c).  A nonzero constant operand makes
+    the gcd 1.  Otherwise the heuristic GCD (Char, Geddes & Gonnet 1989)
+    runs on the primitive integer numerators of a and b; it always ends
+    with the gcd (see _heuristic_gcd).
     """
-    if a.is_constant or b.is_constant:  # includes zero: at most one step
-        if a and b:
-            return UPoly.one(), a, b
-        return _euclid_gcd_cofactors(a, b)
+    if not a or not b:
+        c = a or b
+        if not c:
+            return c, c, c
+        monic, unit = c.monic(), UPoly.constant(c.leading)
+        return (monic, unit, UPoly.zero()) if a else (monic, UPoly.zero(), unit)
+    if a.is_constant or b.is_constant:
+        return UPoly.one(), a, b
     sa, f = _primitive(a.coeffs)
     sb, g = _primitive(b.coeffs)
     h, cf, cg = _int_gcd_cofactors(f, g)
@@ -600,7 +605,7 @@ def _scaled(s: Fraction, ints: list[int]) -> UPoly:
 
 
 def _heuristic_gcd(f: list[int], g: list[int]):
-    """(h, f/h, g/h) with h the primitive gcd of f and g, or None.
+    """(h, f/h, g/h) with h the primitive gcd of f and g, of positive lead.
 
     f and g are primitive of degree >= 1.  At xi = 2^(8*width) the integer
     gcd of f(xi) and g(xi) is h(xi) times a factor bounded independently
@@ -618,11 +623,20 @@ def _heuristic_gcd(f: list[int], g: list[int]):
     g are coprime: the gcd divides it and would otherwise exceed xi/2.
     Then ([1], f, g) is returned at once, the result the checks would
     reach: a candidate they accept is the gcd, here [1] with cofactors f
-    and g, and the Euclidean fallback returns the same.
+    and g.
+
+    The retries stop at _proven_width, where the checks cannot fail.
+    Write f = h*cf and g = h*cg; then gcd(f(xi), g(xi)) = h(xi)*G with
+    G = gcd(cf(xi), cg(xi)), and G divides Res(cf, cg), which is nonzero
+    (G = 1 when a cofactor is +-1).  Once xi/2 exceeds |cf|, |cg| and
+    |Res(cf, cg)|*|h|, the digits are G*h, their content is G, and both
+    products check.  A failure at that width is a broken invariant, and
+    raises RuntimeError.
     """
     bound = 2 * max(max(map(abs, f)), max(map(abs, g))) + 29
     width = bound.bit_length() // 8 + 1  # xi > bound
-    for _ in range(HEURISTIC_GCD_TRIES):
+    limit = None
+    while True:
         ff, gg = _pack(f, width), _pack(g, width)  # f(xi), g(xi)
         common = gcd(ff, gg)
         if common.bit_length() < 8 * width:  # common < xi/2: one digit
@@ -635,54 +649,48 @@ def _heuristic_gcd(f: list[int], g: list[int]):
         cg = _digits(gg // h_xi, width)
         if _int_mul(h, cf) == f and _int_mul(h, cg) == g:
             return h, cf, cg
+        if limit is None:  # only after a point fails
+            limit = _proven_width(f, g)
+        if width >= limit:
+            raise RuntimeError("heuristic GCD failed past its proven width")
         width += width // 4 + 1
-    return None
 
 
-def _euclid_gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
-    """gcd_cofactors by the Euclidean algorithm over Q."""
-    u, v = a, b
-    while v:
-        r = u % v
-        u, v = v, (r.monic() if r else r)
-    if not u:
-        return UPoly.zero(), UPoly.zero(), UPoly.zero()
-    g = u.monic()
-    return g, a.exact_div(g), b.exact_div(g)
+def _proven_width(f: list[int], g: list[int]) -> int:
+    """Slot bytes past which _heuristic_gcd's checks cannot fail on f and g.
+
+    By Mignotte's bound a factor q of f in Z[x] has
+    |q|_1 <= 2^deg(f) * |f|_2 < 2^a, with a the bit count below; likewise
+    2^b for g.  That bounds cf, cg and h, and, by Hadamard's inequality on
+    the Sylvester matrix, |Res(cf, cg)| <= |cf|_2^deg(cg) * |cg|_2^deg(cf)
+    < 2^(a*deg(g) + b*deg(f)).  So every quantity _heuristic_gcd needs
+    below xi/2 is below 2^bits, and xi/2 = 2^(8*width - 1) >= 2^bits.
+    """
+    df, dg = len(f) - 1, len(g) - 1
+    a = df + (isqrt(sum(c * c for c in f)) + 1).bit_length()
+    b = dg + (isqrt(sum(c * c for c in g)) + 1).bit_length()
+    bits = a * dg + b * df + min(a, b)
+    return (bits + 1) // 8 + 1
 
 
 def _int_gcd_cofactors(f: list[int], g: list[int]):
     """(h, f/h, g/h) for nonzero integer lists, h primitive with positive lead.
 
     Constants give h = [1].  Otherwise the heuristic GCD runs on the
-    primitive parts and the contents go back onto the cofactors; when it
-    gives up, the Euclidean algorithm over Q runs instead.
+    primitive parts, which it always completes at a width their sizes
+    bound, and the contents go back onto the cofactors.
     """
     if len(f) == 1 or len(g) == 1:
         return [1], f, g
     cf, cg = gcd(*f), gcd(*g)
     pf = f if cf == 1 else [c // cf for c in f]
     pg = g if cg == 1 else [c // cg for c in g]
-    h, qf, qg = _heuristic_gcd(pf, pg) or _euclid_int_cofactors(pf, pg)
+    h, qf, qg = _heuristic_gcd(pf, pg)
     if cf != 1:
         qf = [c * cf for c in qf]
     if cg != 1:
         qg = [c * cg for c in qg]
     return h, qf, qg
-
-
-def _euclid_int_cofactors(f: list[int], g: list[int]):
-    """_heuristic_gcd's result, computed by _euclid_gcd_cofactors.
-
-    The monic gcd is s*h with h primitive and s > 0, so f/h = s*(f/gcd);
-    by Gauss's lemma those cofactors are integral.
-    """
-    monic, qf, qg = _euclid_gcd_cofactors(UPoly(f), UPoly(g))
-    s, h = _primitive(monic.coeffs)
-    scaled = [[c * s for c in q.coeffs] for q in (qf, qg)]
-    if any(c.denominator != 1 for q in scaled for c in q):
-        raise RuntimeError("gcd cofactor is not integral")
-    return h, *([c.numerator for c in q] for q in scaled)
 
 
 def multiplicity(f: UPoly, b: UPoly) -> int:

@@ -14,7 +14,9 @@ squarings are themselves Kronecker products; the coefficients in x are
 read back once at the end.  width comes from a sound bound: the same
 computation on the 1-norms of the coefficients, which bounds every
 coefficient of the result.  The squarefree certificate for the result
-likewise evaluates x at small integers and takes integer gcds.
+likewise evaluates x at small integers and takes integer gcds; a point
+fails only at a root of Res_z(p, dp/dz), whose degree in x bounds how
+many points can fail before the answer is proven.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ def zp_mul(a: ZPoly, b: ZPoly) -> ZPoly:
     return zpoly(out)
 
 
-def zp_derivative(p: ZPoly) -> ZPoly:
-    return zpoly(tuple(i * c for i, c in enumerate(p) if i))
-
-
 def zp_is_monic(p: ZPoly) -> bool:
     return bool(p) and p[-1].is_one
 
@@ -112,60 +110,40 @@ def zp_to_str(p: ZPoly, zvar: str = "z", var: str = "x") -> str:
     return " ".join(parts)
 
 
-# -- gcd over the fraction field Q(x) ----------------------------------------
-
-
-def zp_gcd_degree_over_field(a: ZPoly, b: ZPoly) -> int | None:
-    """Degree in z of gcd(a, b) taken over the field Q(x)."""
-    fa = [RatFunc(c) for c in a]
-    fb = [RatFunc(c) for c in b]
-
-    def norm(p: list[RatFunc]) -> list[RatFunc]:
-        while p and p[-1].is_zero:
-            p.pop()
-        return p
-
-    fa, fb = norm(fa), norm(fb)
-    while fb:
-        # remainder of fa mod fb over Q(x)
-        rem = list(fa)
-        db = len(fb) - 1
-        lead = fb[-1]
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k]
-            if c.is_zero:
-                continue
-            q = c / lead
-            for j in range(db + 1):
-                rem[k - db + j] = rem[k - db + j] - q * fb[j]
-        fa, fb = fb, norm(rem[:db] if db else [])
-    return len(fa) - 1 if fa else None
+# -- squarefree certificate --------------------------------------------------
 
 
 def zp_is_squarefree_in_z(p: ZPoly) -> bool:
     """True iff p has no repeated roots as a polynomial in z over Q(x).
 
-    Fast path: evaluate x at the integers -8..8 and take a univariate gcd;
-    a single point where the leading coefficient does not vanish and
-    (p, dp/dz) are coprime certifies a nonvanishing discriminant.  The
-    points are evaluated on the integer numerators d*p (d the least common
-    denominator), which have the same gcd.  Only if every sample point
-    degenerates does the exact gcd over Q(x) run (expensive, but
-    conclusive).
+    Evaluate x at the integers -8, -7, ... and take a univariate gcd: a
+    point where the leading coefficient does not vanish and (p, dp/dz)
+    are coprime certifies a nonvanishing discriminant.  The points are
+    evaluated on the integer numerators d*p (d the least common
+    denominator), which have the same gcd.
+
+    (2n - 1)*dx + 1 points decide, with n = deg_z p and dx the largest
+    degree in x of a coefficient.  Let R = Res_z(p, dp/dz), a polynomial in
+    x of degree at most (2n - 1)*dx (the Sylvester matrix has 2n - 1 rows
+    of entries of degree <= dx).  A point xi fails exactly when R(xi) = 0:
+    if lead(p)(xi) != 0, both degrees survive, so R(xi) is the resultant
+    of p(xi) and dp/dz(xi), zero iff they share a root; and lead(p)
+    divides R.  So p is squarefree (R != 0) iff one of that many distinct
+    points succeeds, and when all fail, R has more roots than its degree
+    and is zero.
     """
     if zp_degree(p) in (None, 0):
         return True
     _, ints = _zp_integer_numerators(p)
-    for xi in range(-8, 9):
+    n, dx = len(ints) - 1, max(map(len, ints)) - 1
+    for xi in range(-8, (2 * n - 1) * dx - 7):
         p_xi = [_evaluate(c, xi) for c in ints]
         if p_xi[-1] == 0:
             continue
         dp_xi = [k * c for k, c in enumerate(p_xi) if k]
-        if not any(dp_xi):
-            continue
         if len(_int_gcd_cofactors(p_xi, dp_xi)[0]) == 1:
             return True
-    return zp_gcd_degree_over_field(p, zp_derivative(p)) == 0
+    return False
 
 
 def _zp_integer_numerators(p: ZPoly) -> tuple[int, list[list[int]]]:

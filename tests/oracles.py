@@ -5,7 +5,10 @@ integer coefficient lists, and its parser evaluates on integer
 coefficient lists.  The straightforward versions over Q below, with
 gcd_cofactors on UPoly values and a parser that evaluates every node as
 a RatFunc, are what the tests compare those against; the parser shares
-only the library's cost budget.  radical and expand are test helpers
+only the library's cost budget.  euclid_gcd_cofactors is gcd_cofactors
+by the Euclidean algorithm over Q, and zp_gcd_degree_over_field the same
+algorithm over Q(x) on polynomials in z: the library's heuristic GCD and
+squarefree certificate stop at proven bounds and need neither.  radical and expand are test helpers
 built on the library's own squarefree decomposition.  enumerated_subset_criterion is
 the 2^m subset enumeration that the library's criterion, which checks at
 most three distinct parity rows, replaced.  fraction_resultant_with_quadratic
@@ -56,8 +59,6 @@ from sqrat.resultants import (
     ZP_ZERO,
     ZPoly,
     zp_degree,
-    zp_derivative,
-    zp_gcd_degree_over_field,
     zp_mul,
     zpoly,
 )
@@ -355,8 +356,52 @@ def fraction_resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
     return zp_sub(zp_mul(a, a), zp_mul(f_z, zp_mul(b, b)))
 
 
+def euclid_gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
+    """gcd_cofactors by the Euclidean algorithm over Q."""
+    u, v = a, b
+    while v:
+        r = u % v
+        u, v = v, (r.monic() if r else r)
+    if not u:
+        return UPoly.zero(), UPoly.zero(), UPoly.zero()
+    g = u.monic()
+    return g, a.exact_div(g), b.exact_div(g)
+
+
+def zp_derivative(p: ZPoly) -> ZPoly:
+    return zpoly(tuple(i * c for i, c in enumerate(p) if i))
+
+
+def zp_gcd_degree_over_field(a: ZPoly, b: ZPoly) -> int | None:
+    """Degree in z of gcd(a, b) taken over the field Q(x)."""
+    fa = [RatFunc(c) for c in a]
+    fb = [RatFunc(c) for c in b]
+
+    def norm(p: list[RatFunc]) -> list[RatFunc]:
+        while p and p[-1].is_zero:
+            p.pop()
+        return p
+
+    fa, fb = norm(fa), norm(fb)
+    while fb:
+        # remainder of fa mod fb over Q(x)
+        rem = list(fa)
+        db = len(fb) - 1
+        lead = fb[-1]
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k]
+            if c.is_zero:
+                continue
+            q = c / lead
+            for j in range(db + 1):
+                rem[k - db + j] = rem[k - db + j] - q * fb[j]
+        fa, fb = fb, norm(rem[:db] if db else [])
+    return len(fa) - 1 if fa else None
+
+
 def fraction_is_squarefree_in_z(p: ZPoly) -> bool:
-    """zp_is_squarefree_in_z with UPoly evaluation and gcd at each point."""
+    """zp_is_squarefree_in_z with UPoly evaluation and gcd at -8..8, and
+    the gcd over Q(x) when every one of those points degenerates."""
     if zp_degree(p) in (None, 0):
         return True
     dp = zp_derivative(p)

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import upolys
+import oracles
 from oracles import (
+    euclid_gcd_cofactors,
     fraction_coprime_basis,
     fraction_squarefree_decompose,
     ratfunc_parse_expr,
@@ -96,11 +98,12 @@ def test_coprime_basis_matches_fraction_basis(fs):
 
 @given(families)
 @settings(max_examples=30, deadline=None)
-def test_euclid_fallback_gives_the_same_results(fs):
-    expected = fraction_coprime_basis(fs)
+def test_matches_euclid_references(fs):
+    # the references with the Euclidean algorithm over Q in place of the
+    # library's gcd: the same basis and decompositions
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
-        assert coprime_basis(fs) == expected
+        mp.setattr(oracles, "gcd_cofactors", euclid_gcd_cofactors)
+        assert coprime_basis(fs) == fraction_coprime_basis(fs)
         assert [squarefree_decompose(f) for f in fs] == [
             fraction_squarefree_decompose(f) for f in fs]
 
@@ -111,10 +114,17 @@ def test_euclid_fallback_gives_the_same_results(fs):
     ([6, -4, 10, -9, 8], [6, -3, -10, 4, 8]),
 ])
 def test_unlucky_evaluation_point_in_the_basis(monkeypatch, f, g):
-    # the first evaluation point proposes a false common factor
+    # the first evaluation point proposes a false common factor; the
+    # heuristic GCD goes on to a second point, and the basis is the one
+    # the Euclidean algorithm over Q gives
+    calls = []
+    original = poly._proven_width
+    monkeypatch.setattr(poly, "_proven_width",
+                        lambda a, b: calls.append(1) or original(a, b))
+    monkeypatch.setattr(oracles, "gcd_cofactors", euclid_gcd_cofactors)
     fs = [UPoly(f), UPoly(g) ** 2]
-    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 1)
     assert coprime_basis(fs) == fraction_coprime_basis(fs)
+    assert calls
 
 
 @pytest.mark.parametrize("fs", [
@@ -168,19 +178,6 @@ def test_reconstruction_check_rejects_wrong_exponents(monkeypatch):
     monkeypatch.setattr(poly, "_int_squarefree", inflated)
     with pytest.raises(RuntimeError, match="reconstruction failed"):
         coprime_basis([(X - 1) ** 2 * (X + 3)])
-
-
-def test_fallback_cofactors_are_checked_integral(monkeypatch):
-    original = poly._euclid_gcd_cofactors
-
-    def thirds(a, b):
-        g, ca, cb = original(a, b)
-        return g, ca / 3, cb
-
-    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
-    monkeypatch.setattr(poly, "_euclid_gcd_cofactors", thirds)
-    with pytest.raises(RuntimeError, match="not integral"):
-        squarefree_decompose((X - 1) ** 2 * (X + 1))
 
 
 # -- the parser against the RatFunc evaluator ---------------------------------
@@ -260,6 +257,13 @@ def test_parser_matches_on_junk(text):
     # nested powers, with and without a factor shared with the other side
     "(x+1)^4/((x^2-1)^2)^1", "((x+1)^2)^3/(x^2-1)", "(x^2-1)/((x+1)^2)^3",
     "((x+2)^2)^3/(x^2-1)", "(x^2-1)^1/(x+1)", "((x+1)^2)^0/(x+1)",
+    # nested exponents, folded into one power as the tree is read: zero
+    # bases and exponents, zero divisors, and limits at the outer "^"
+    "((x+1)^0)^3", "((x-x)^0)^2", "((x-x)^2)^0", "(0^3)^0", "(0^0)^5",
+    "x/((x-x)^2)^3", "x/((x-x)^0)^3", "x/((x-x)^3)^0", "x/((0^2)^0-1)",
+    "(((x+1)^2)^3)^2", "((x+1)^3)^4/(x+1)^5", "((2*x-1)^2)^(1+1)",
+    "((x+1/2)^2)^3", "(((x+1)/(x+2))^2)^3", "((x+1)^64)^65",
+    "((x+1)^2)^4097", "(x^2)^-1", "(x^2)^x",
 ])
 def test_parser_fixed_cases(text):
     assert outcome(parse_expr, text) == outcome(ratfunc_parse_expr, text)
@@ -285,6 +289,16 @@ def test_divisor_zero_test_computes_no_power(monkeypatch):
     assert calls == []
     assert parse_expr("1/(x+1)^3") == ratfunc_parse_expr("1/(x+1)^3")
     assert calls == [3]
+
+
+def test_nested_powers_are_one_power(monkeypatch):
+    # ((x+1)^8)^8 is raised once, from the short base x + 1, as (x+1)^64 is
+    calls = []
+    original = parsing._int_pow
+    monkeypatch.setattr(parsing, "_int_pow",
+                        lambda f, n: calls.append((f, n)) or original(f, n))
+    assert parse_expr("((x+1)^8)^8") == parse_expr("(x+1)^64")
+    assert calls == [([1, 1], 64)] * 2
 
 
 @pytest.mark.parametrize("text", [

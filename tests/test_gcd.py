@@ -1,4 +1,4 @@
-"""gcd_cofactors: heuristic GCD against the Euclidean fallback and sympy."""
+"""gcd_cofactors: heuristic GCD against the Euclidean algorithm over Q and sympy."""
 
 from fractions import Fraction
 
@@ -6,15 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import euclid_gcd_cofactors
 from sqrat import poly
 from sqrat.poly import (
     UPoly,
-    _euclid_gcd_cofactors,
-    _euclid_int_cofactors,
     _heuristic_gcd,
     _int_gcd_cofactors,
+    coprime_basis,
     gcd_cofactors,
     poly_gcd,
+    squarefree_decompose,
 )
 
 X = UPoly.x()
@@ -59,7 +60,7 @@ def assert_cofactors(a, b, result):
 def test_matches_euclid(pair):
     a, b = pair
     result = gcd_cofactors(a, b)
-    assert result == _euclid_gcd_cofactors(a, b)
+    assert result == euclid_gcd_cofactors(a, b)
     assert_cofactors(a, b, result)
     assert poly_gcd(a, b) == result[0]
 
@@ -67,7 +68,7 @@ def test_matches_euclid(pair):
 @pytest.mark.parametrize("a,b", POWERS)
 def test_high_degree_powers(a, b):
     result = gcd_cofactors(a, b)
-    assert result == _euclid_gcd_cofactors(a, b)
+    assert result == euclid_gcd_cofactors(a, b)
     assert_cofactors(a, b, result)
 
 
@@ -84,36 +85,30 @@ def test_high_degree_powers(a, b):
 def test_edge_cases(a, b, g):
     result = gcd_cofactors(a, b)
     assert result[0] == g
-    assert result == _euclid_gcd_cofactors(a, b)
+    assert result == euclid_gcd_cofactors(a, b)
     assert_cofactors(a, b, result)
 
 
 @given(pairs())
-@settings(max_examples=40, deadline=None)
-def test_fallback_path_agrees(pair):
+@settings(max_examples=60, deadline=None)
+def test_no_polynomial_division(pair):
+    # the heuristic GCD completes on its own, so no path divides UPolys
     a, b = pair
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
-        forced = gcd_cofactors(a, b)
-    assert forced == gcd_cofactors(a, b)
-    assert_cofactors(a, b, forced)
-
-
-def test_fallback_runs_when_no_point_is_tried(monkeypatch):
     calls = []
-    original = poly._euclid_gcd_cofactors
+    original = UPoly.__divmod__
 
-    def counting(a, b):
-        calls.append((a, b))
-        return original(a, b)
+    def counting(self, other):
+        calls.append((self, other))
+        return original(self, other)
 
-    a, b = (X + 1) ** 3 * (X - 2), (X + 1) * (X + 5)
-    monkeypatch.setattr(poly, "_euclid_gcd_cofactors", counting)
-    assert gcd_cofactors(a, b)[0] == X + 1
-    assert not calls
-    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 0)
-    assert gcd_cofactors(a, b)[0] == X + 1
-    assert len(calls) == 1
+    nonzero = [f for f in (a, b) if f]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(UPoly, "__divmod__", counting)
+        gcd_cofactors(a, b)
+        for f in nonzero:
+            squarefree_decompose(f)
+        coprime_basis(nonzero)
+    assert calls == []
 
 
 @pytest.mark.parametrize("f,g", [
@@ -123,11 +118,36 @@ def test_fallback_runs_when_no_point_is_tried(monkeypatch):
 ])
 def test_unlucky_first_point_is_rejected(monkeypatch, f, g):
     # coprime pairs whose first evaluation point yields a false common
-    # factor: only the exact checks of both products reject it
+    # factor: only the exact checks of both products reject it, and the
+    # second point finds the gcd 1; _proven_width runs once a point fails
+    calls = []
+    original = poly._proven_width
+    monkeypatch.setattr(poly, "_proven_width",
+                        lambda f, g: calls.append(1) or original(f, g))
     a, b = UPoly(f), UPoly(g)
-    assert gcd_cofactors(a, b) == (UPoly.one(), a, b)
-    monkeypatch.setattr(poly, "HEURISTIC_GCD_TRIES", 1)
-    assert gcd_cofactors(a, b) == (UPoly.one(), a, b)
+    assert gcd_cofactors(a, b) == euclid_gcd_cofactors(a, b) == (UPoly.one(), a, b)
+    assert len(calls) == 1
+
+
+def test_heuristic_gcd_stops_at_its_proven_width(monkeypatch):
+    # with every product wrong no point passes the checks; the loop must
+    # raise at the first width past the proven one instead of growing on
+    f = [2, 3, 1]   # (x + 1)(x + 2)
+    g = [3, 4, 1]   # (x + 1)(x + 3)
+    limit = poly._proven_width(f, g)
+    widths = []
+    original_pack = poly._pack
+
+    def recording(ints, width):
+        widths.append(width)
+        return original_pack(ints, width)
+
+    monkeypatch.setattr(poly, "_pack", recording)
+    monkeypatch.setattr(poly, "_int_mul", lambda a, b: [])
+    with pytest.raises(RuntimeError, match="proven width"):
+        _heuristic_gcd(f, g)
+    tried = sorted(set(widths))
+    assert tried[-1] >= limit > tried[-2]
 
 
 @given(pairs())
@@ -157,7 +177,7 @@ def primitive_pairs(draw):
     f, g = draw(lists), draw(lists)
     f = [c // poly.gcd(*f) for c in f]
     g = [c // poly.gcd(*g) for c in g]
-    assume(_euclid_gcd_cofactors(UPoly(f), UPoly(g))[0].is_one)
+    assume(euclid_gcd_cofactors(UPoly(f), UPoly(g))[0].is_one)
     return f, g
 
 
@@ -173,13 +193,13 @@ COPRIME_PAIRS = FIRST_POINT_PAIRS + [([8, 1], [8, 7, 9])]
 @settings(max_examples=150, deadline=None)
 def test_heuristic_gcd_of_a_coprime_pair_matches_euclid(pair):
     f, g = pair
-    assert _heuristic_gcd(f, g) == _euclid_int_cofactors(f, g) == ([1], f, g)
+    assert _heuristic_gcd(f, g) == ([1], f, g)
 
 
 @pytest.mark.parametrize("f,g", COPRIME_PAIRS)
 def test_heuristic_gcd_fixed_coprime_pairs(f, g):
-    assert _heuristic_gcd(f, g) == _euclid_int_cofactors(f, g) == ([1], f, g)
-    assert gcd_cofactors(UPoly(f), UPoly(g)) == _euclid_gcd_cofactors(
+    assert _heuristic_gcd(f, g) == ([1], f, g)
+    assert gcd_cofactors(UPoly(f), UPoly(g)) == euclid_gcd_cofactors(
         UPoly(f), UPoly(g))
 
 

@@ -81,6 +81,20 @@ class TestCyclic:
         with pytest.raises(ReduciblePowerError):
             CoverSpec(RatFunc(7), 5)
 
+    @pytest.mark.parametrize("build", [lambda f: CoverSpec(f, 3), hyperelliptic_genus])
+    def test_radicand_checked_by_the_family_validator(self, build):
+        with pytest.raises(ZeroRadicandError, match="zero radicand in the family"):
+            build(UPoly.zero())
+        with pytest.raises(ZeroRadicandError, match="zero radicand in the family"):
+            build(RatFunc(0))
+        with pytest.raises(TypeError, match="radicands must be RatFunc or UPoly"):
+            build("x")
+
+    def test_polynomial_radicand_becomes_a_ratfunc(self):
+        cover = CoverSpec(X * (X - 1) * (X - 2), 3)
+        assert isinstance(cover.radicand, RatFunc)
+        assert cover.radicand == RatFunc(X * (X - 1) * (X - 2))
+
     def test_rational_radicand(self):
         # valuations 1 at 0, -1 at 1, 0 at infinity: e=3 ramifies twice
         f = RatFunc(X, X - 1)

@@ -226,22 +226,36 @@ class TestSquarefreeCertificate:
                 p = resultant_with_quadratic(p, f)
             assert zp_is_squarefree_in_z(p) == fraction_is_squarefree_in_z(p)
 
-    def test_every_point_degenerates(self, monkeypatch):
-        # g vanishes at x = -8..8, so p(xi) = z^2 has the double root 0 at
-        # every sample point; the exact gcd over Q(x) decides
+    @staticmethod
+    def count_points(monkeypatch):
+        """Record the integer gcd taken at each point, and every RatFunc built."""
         calls = []
-        original = resultants.zp_gcd_degree_over_field
+        original = resultants._int_gcd_cofactors
+        monkeypatch.setattr(resultants, "_int_gcd_cofactors",
+                            lambda f, g: calls.append(1) or original(f, g))
+        init = RatFunc.__init__
+        monkeypatch.setattr(RatFunc, "__init__",
+                            lambda self, *args: calls.append("RatFunc")
+                            or init(self, *args))
+        return calls
 
-        def counting(a, b):
-            calls.append(1)
-            return original(a, b)
+    # g vanishes at x = -8..8, so p(xi) = z^2 - g(xi) has the double root 0
+    # at each of those points
+    G17 = prod((X - k for k in range(-8, 9)), start=UPoly.one())
 
-        monkeypatch.setattr(resultants, "zp_gcd_degree_over_field", counting)
-        g = prod((X - k for k in range(-8, 9)), start=UPoly.one())
-        assert zp_is_squarefree_in_z(zpoly([-g, 0, 1]))
-        assert calls == [1]
-        assert not zp_is_squarefree_in_z(zpoly([g * g, -2 * g, 1]))  # (z - g)^2
-        assert len(calls) == 2
+    def test_squarefree_past_the_first_points(self, monkeypatch):
+        # z^2 - g: every point of -8..8 degenerates and x = 9 decides
+        calls = self.count_points(monkeypatch)
+        assert zp_is_squarefree_in_z(zpoly([-self.G17, 0, 1]))
+        assert calls == [1] * 18
+
+    def test_every_point_degenerates(self, monkeypatch):
+        # (z - g)^2: (2n - 1)*dx + 1 = 3*34 + 1 points, all degenerate, prove
+        # the repeated root without a gcd over Q(x)
+        g = self.G17
+        calls = self.count_points(monkeypatch)
+        assert not zp_is_squarefree_in_z(zpoly([g * g, -2 * g, 1]))
+        assert calls == [1] * 103
 
     @given(st.lists(st.tuples(st.sampled_from([X, X - 1, X + 2, X * (X - 1)]),
                               st.sampled_from([1, 4, Fraction(9, 4), -1, 2])),
