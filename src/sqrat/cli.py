@@ -33,7 +33,7 @@ from .decide import (
 from .errors import SqratError
 from .genus import CoverSpec, cyclic_cover_genus, multiquadratic_genus_summary
 from .lattice import branch_count, build_branch_table, reduced_generators_scaled
-from .parsing import RadicandSpec, parse_expr, parse_radicand_file
+from .parsing import RadicandSpec, parse_expr, parse_radicand_file, parse_written
 from .poly import RatFunc
 from .rationalize import Witness, greedy_rationalize, minpoly_multiquadratic
 from .resultants import zp_to_str
@@ -56,16 +56,18 @@ def _add_debug_arg(parser: argparse.ArgumentParser):
                         help="show the traceback of an internal error")
 
 
-def _load_radicands(args) -> list[RadicandSpec]:
+def _load_radicands(args, parse=None) -> list[RadicandSpec]:
+    parse = parse or parse_expr  # looked up per call, so it can be patched
     if args.file and args.exprs:
         raise SqratError("give radicands either positionally or via --file")
     if args.file:
-        return parse_radicand_file(Path(args.file).read_text(encoding="utf-8"))
+        return parse_radicand_file(
+            Path(args.file).read_text(encoding="utf-8"), parse)
     if not args.exprs:
         raise SqratError("no radicands given")
     specs = []
     for text in args.exprs:
-        value = parse_expr(text)
+        value = parse(text)
         if value.is_zero:
             raise SqratError(f"radicand {text!r} is zero")
         specs.append(RadicandSpec(text=text, expr=value, root_order=2))
@@ -144,7 +146,10 @@ def cmd_decide(args) -> int:
 
 
 def cmd_genus(args) -> int:
-    specs = _load_radicands(args)
+    if args.root_order is not None and args.root_order < 2:
+        raise SqratError("root order must be an integer >= 2")
+    # the genus reads only valuations, so radicands stay as written
+    specs = _load_radicands(args, parse_written)
     inputs = [s.text for s in specs]
     report = {"command": "genus", "inputs": inputs, "version": __version__}
     orders = {s.root_order for s in specs}

@@ -32,7 +32,9 @@ from .errors import NormalFormViolationError, ReduciblePowerError
 from .lattice import (
     BranchTable,
     LatticeSummary,
+    Written,
     _coerce_radicands,
+    as_written,
     branch_count,
     build_branch_table,
 )
@@ -46,10 +48,11 @@ class CoverSpec:
     f must not be an e'-th power in C(x) for any e' > 1 dividing e, so that
     the cover is irreducible; constants are invisible over C, so the check
     is that the gcd of all valuations of f is coprime to e.  The valuations
-    are read once, from one branch table, and kept for cyclic_cover_genus.
+    are read once, from one branch table, and kept for cyclic_cover_genus;
+    a Written radicand gives them from its factors' rows, unexpanded.
     """
 
-    radicand: RatFunc
+    radicand: RatFunc | Written
     order: int
     _valuations: tuple[tuple[int, int], ...] = field(
         init=False, repr=False, compare=False)
@@ -61,7 +64,7 @@ class CoverSpec:
         if not isinstance(self.order, int) or self.order < 2:
             raise ValueError("root order must be an integer >= 2")
         vals = tuple(zip((b.degree for b in table.basis), table.exponents[0]))
-        vals += ((1, -(rad.num.degree - rad.den.degree)),)  # place at infinity
+        vals += ((1, -as_written(rad).degree),)  # place at infinity
         object.__setattr__(self, "_valuations", vals)
         common = 0
         for _, v in vals:

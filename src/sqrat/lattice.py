@@ -14,6 +14,26 @@ log2 of the degree of the compositum field; a basis element is a branch
 locus of the compositum cover iff its parity column is nonzero, and the
 total number of geometric branch points feeds Riemann-Hurwitz downstream.
 
+A radicand reaches the table as written: c * prod a_j^(e_j), a Written
+tuple of (a_j, e_j) pairs with polynomials a_j and nonzero integers e_j
+(e_j < 0 for a divisor).  A RatFunc f is the pair list (num f, 1),
+(den f, -1).  The basis is taken of the factors a_j, never of their
+product, and the radicand's row is sum e_j * row(a_j); its parity at
+infinity is that of sum e_j * deg a_j.  For a product of powers such as
+(x+1)^2000 / (x^2-1)^1000 the product is never expanded.
+
+The basis of the factors can be finer than that of the expanded values:
+(x^2-1)^2 * (x^2-4)^2 gives {x^2-1, x^2-4} where the expanded value gives
+their product.  Every element of the coarser basis is a product of finer
+elements with the same exponent row, since each complex root has one
+valuation per radicand whichever way it is computed, and a root whose
+valuations all cancel sits in a zero column.  Splitting a column into
+equal columns and adding zero columns changes neither the rank, nor the
+branch count (the degrees of the odd columns sum to the same number of
+roots), nor the Riemann-Hurwitz sum of a cyclic cover, nor the gcd of
+all valuations, so every genus and verdict read from the table is the
+same.
+
 A request builds its table once: the same table serves the genus verdict,
 the subset criterion and the reduced generators, and one GF(2) elimination
 (gf2_eliminate) gives the rank, the reduced rows and the first dependency.
@@ -28,6 +48,30 @@ from .errors import EmptyFamilyError, ZeroRadicandError
 from .poly import RatFunc, UPoly, coprime_basis, square_class
 
 
+class Written(tuple):
+    """A nonzero constant times prod a_j^(e_j), as its (a_j, e_j) pairs.
+
+    The a_j are UPolys and the e_j nonzero ints.  The constant is not kept:
+    constants are squares over C, so it has no place in the table.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return any(a.is_zero for a, _ in self)
+
+    @property
+    def degree(self) -> int:
+        """Degree of the value: sum of e_j * deg a_j (the radicand is nonzero)."""
+        return sum(e * a.degree for a, e in self)
+
+
+def as_written(f: RatFunc | Written) -> Written:
+    """f as its written factors; a RatFunc is its numerator over its denominator."""
+    return f if isinstance(f, Written) else Written(((f.num, 1), (f.den, -1)))
+
+
 @dataclass(frozen=True)
 class BranchTable:
     """Coprime basis, exponent matrix and GF(2) parity matrix of a family.
@@ -36,7 +80,7 @@ class BranchTable:
     then coefficients) and a final column for the place at infinity.
     """
 
-    radicands: tuple[RatFunc, ...]
+    radicands: tuple[RatFunc | Written, ...]
     basis: tuple[UPoly, ...]
     exponents: tuple[tuple[int, ...], ...]
     parity: tuple[tuple[int, ...], ...]
@@ -68,14 +112,15 @@ class LatticeSummary:
     infinity_ramified: bool
 
 
-def _coerce_radicands(radicands: Sequence[RatFunc | UPoly]) -> list[RatFunc]:
+def _coerce_radicands(radicands: Sequence[RatFunc | UPoly],
+                      kinds: type | tuple[type, ...] = RatFunc) -> list:
     if len(radicands) == 0:
         raise EmptyFamilyError("the radicand family is empty")
     out = []
     for f in radicands:
         if isinstance(f, UPoly):
             f = RatFunc(f)
-        if not isinstance(f, RatFunc):
+        if not isinstance(f, kinds):
             raise TypeError("radicands must be RatFunc or UPoly values")
         if f.is_zero:
             raise ZeroRadicandError("zero radicand in the family")
@@ -83,27 +128,30 @@ def _coerce_radicands(radicands: Sequence[RatFunc | UPoly]) -> list[RatFunc]:
     return out
 
 
-def build_branch_table(radicands: Sequence[RatFunc | UPoly]) -> BranchTable:
+def build_branch_table(
+        radicands: Sequence[RatFunc | UPoly | Written]) -> BranchTable:
     """Compute the branch table of a nonempty family of nonzero radicands.
 
     Radicands with trivial square class contribute an all-zero parity row.
-    Exponent rows come from the coprime basis's own exponent matrix: the
-    numerator's row minus the denominator's row.
+    Exponent rows come from the coprime basis's own exponent matrix of the
+    written factors: a radicand's row is sum e_j * row(a_j), for a RatFunc
+    the numerator's row minus the denominator's row.
     """
-    rads = _coerce_radicands(radicands)
-    support = [p for f in rads for p in (f.num, f.den) if not p.is_constant]
+    rads = _coerce_radicands(radicands, (RatFunc, Written))
+    written = [as_written(f) for f in rads]
+    support = [a for w in written for a, _ in w if not a.is_constant]
     basis, support_rows = coprime_basis(support)
     rows = iter(support_rows)
-    zero = [0] * len(basis)
     exponents = []
     parity = []
-    for f in rads:
-        num_row = zero if f.num.is_constant else next(rows)
-        den_row = zero if f.den.is_constant else next(rows)
-        row = tuple(a - b for a, b in zip(num_row, den_row))
-        inf_parity = (f.num.degree - f.den.degree) % 2
+    zero = (0,) * len(basis)
+    for w in written:
+        row = zero
+        for a, e in w:
+            if not a.is_constant:
+                row = tuple(r + e * v for r, v in zip(row, next(rows)))
         exponents.append(row)
-        parity.append(tuple(e % 2 for e in row) + (inf_parity,))
+        parity.append(tuple(v % 2 for v in row) + (w.degree % 2,))
     return BranchTable(
         radicands=tuple(rads),
         basis=tuple(basis),

@@ -43,6 +43,17 @@ power p^a as one operand is coprime when p is coprime to the other, a
 small gcd in place of the large one, and RatFunc arithmetic with a
 constant or polynomial operand keeps N/D reduced without one.
 
+parse_written reads the same tree, with the same errors, into the
+radicand as written (lattice.Written): (factor, exponent) pairs whose
+factors are the values of the tree's sums and leaves.  Products,
+quotients, powers and negations are walked, never multiplied: below a "/"
+the exponent is negated, p^0 drops out, and constant factors drop out,
+since constants are squares over C.  A zero factor, which can only have a
+positive exponent because a zero divisor is an error, makes the radicand
+zero.  The genus reads only valuations, and the valuations of a product
+of powers are sums of its factors', so the genus command takes its
+radicands this way and never expands (x+1)^2000/(x^2-1)^1000.
+
 Radicand files hold one radicand per line, UTF-8, with # comments and
 blank lines ignored and an optional "root[e]:" prefix selecting the root
 order (default 2).
@@ -65,6 +76,7 @@ from .errors import (
     UnsupportedVariableError,
     ZeroRadicandError,
 )
+from .lattice import Written
 from .poly import (
     RatFunc,
     UPoly,
@@ -200,7 +212,7 @@ class _Parser:
             raise ExprSyntaxError(f"expected {kind!r}", position=pos)
         return self.advance()
 
-    def parse(self) -> RatFunc:
+    def parse(self) -> _Node:
         if not self.tokens:
             raise ExprSyntaxError("expected an expression", position=0)
         node = self.expr()
@@ -208,7 +220,7 @@ class _Parser:
         if leftover is not None:
             raise ExprSyntaxError(f"unexpected {leftover.text!r}",
                                   position=leftover.position)
-        return _as_ratfunc(_evaluate(node))
+        return node
 
     def expr(self) -> _Node:
         node = self.term()
@@ -476,26 +488,66 @@ def parse_expr(text: str) -> RatFunc:
     """Parse an expression into an exact rational function of x."""
     if not isinstance(text, str):
         raise TypeError("parse_expr expects a string")
-    return _Parser(text).parse()
+    return _as_ratfunc(_evaluate(_Parser(text).parse()))
+
+
+def parse_written(text: str) -> Written:
+    """Parse an expression into its written factors, multiplying none of them.
+
+    The text is read, checked and budgeted exactly as by parse_expr, with
+    the same errors at the same positions; only the sums and leaves of the
+    tree are evaluated.  A zero radicand has a zero factor.
+    """
+    factors: list[tuple[UPoly, int]] = []
+    _collect_factors(_Parser(text).parse(), 1, factors)
+    return Written(factors)
+
+
+def _collect_factors(node: _Node, e: int, out: list[tuple[UPoly, int]]):
+    """Append the factors of node^e to out, walking products and powers.
+
+    Below a "/" the exponent is negated, p^0 drops out, and so do nonzero
+    constants.  A zero divisor never gets here: the parser raised first.
+    """
+    if node.op == "neg":
+        _collect_factors(node.args, e, out)
+    elif node.op == "product":
+        for op, factor in node.args:
+            _collect_factors(factor, e if op == "*" else -e, out)
+    elif node.op == "power":
+        base, n = node.args
+        if n:
+            _collect_factors(base, e * n, out)
+    else:
+        value = _as_ratfunc(_evaluate(node))
+        for p, exponent in ((value.num, e), (value.den, -e)):
+            if p.is_zero or not p.is_constant:
+                out.append((p, exponent))
 
 
 @dataclass(frozen=True)
 class RadicandSpec:
-    """One radicand as read from a file: source text, value, root order."""
+    """One radicand as read from a file: source text, value, root order.
+
+    The value is a RatFunc, or the Written factors when read by
+    parse_written.
+    """
 
     text: str
-    expr: RatFunc
+    expr: RatFunc | Written
     root_order: int = 2
 
 
-def parse_radicand_file(text: str) -> list[RadicandSpec]:
+def parse_radicand_file(text: str, parse=None) -> list[RadicandSpec]:
     """Parse a radicand file: one radicand per noncomment line.
 
     Lines starting with # (after whitespace) and blank lines are skipped;
-    a "root[e]:" prefix with e >= 2 selects the root order.  Parse errors
-    are re-raised with the 1-based line number; a file with no radicands
-    raises EmptyInputError.
+    a "root[e]:" prefix with e >= 2 selects the root order.  Each line's
+    expression is read by parse (parse_expr unless given, or
+    parse_written).  Parse errors are re-raised with the 1-based line
+    number; a file with no radicands raises EmptyInputError.
     """
+    parse = parse or parse_expr
     specs: list[RadicandSpec] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -510,7 +562,7 @@ def parse_radicand_file(text: str) -> list[RadicandSpec]:
                 raise ParseError("root order must be at least 2", line=lineno)
             body = prefix.group(2)
         try:
-            value = parse_expr(body)
+            value = parse(body)
         except ParseError as exc:
             raise type(exc)(exc.message, position=exc.position,
                             line=lineno) from None

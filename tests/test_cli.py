@@ -108,6 +108,12 @@ class TestGenusCommand:
                            ["genus", "--root-order", "3", "x", "x-1"])
         assert code == 2
 
+    @pytest.mark.parametrize("order", ["1", "0", "-2"])
+    def test_root_order_below_two_is_usage_error(self, capsys, order):
+        code, out, err = run(capsys, ["genus", "--root-order", order, "x"])
+        assert (code, out) == (2, "")
+        assert err == "error: root order must be an integer >= 2\n"
+
 
 class TestMinpolyCommand:
     def test_reduce_reproduces_degree_eight(self, capsys):

@@ -1,13 +1,18 @@
 """Branch tables, GF(2) rank, branch counting, reduced generators."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_factored_poly, random_poly, small_fractions, upolys
-from sqrat.errors import EmptyFamilyError, ZeroRadicandError
+from test_analysis_once import count_calls
+from sqrat import poly
+from sqrat.cli import main
+from sqrat.errors import EmptyFamilyError, ParseError, ZeroRadicandError
+from sqrat.genus import CoverSpec, cyclic_cover_genus, multiquadratic_genus_table
 from sqrat.lattice import (
     branch_count,
     build_branch_table,
@@ -15,6 +20,7 @@ from sqrat.lattice import (
     reduced_generators,
     reduced_generators_scaled,
 )
+from sqrat.parsing import parse_expr, parse_written
 from sqrat.poly import RatFunc, UPoly, multiplicity
 
 X = UPoly.x()
@@ -186,3 +192,109 @@ class TestReducedGenerators:
             assert len(monic) == len(scaled)
             for a, b in zip(monic, scaled):
                 assert b.monic() == a
+
+
+# -- radicands as written ----------------------------------------------------
+
+WRITTEN_POOL = ["x", "(x+1)", "(x-1)", "(x^2-1)", "(x^2+1)", "(x^2-4)",
+                "(x^2+2*x+1)", "(x^2+2*x+1)^5", "(x-2)^2", "(-3)", "(2/3)",
+                "(-1/2)", "(x/x)", "(x/(x+1)+1)"]
+WRITTEN_EXPONENTS = ["0", "1", "2", "3", "5", "(4/2)"]
+# zero radicands and divisors, and exponents and names the parser refuses
+ERROR_LEAVES = ["(x-x)", "0", "y"]
+ERROR_EXPONENTS = ["-1", "(1/2)", "x", "(x-x)"]
+
+
+def written_texts(leaves, exponents):
+    def combine(children):
+        return st.one_of(
+            st.tuples(children, st.sampled_from("**//+"), children).map("".join),
+            children.map(lambda c: f"({c})"),
+            children.map(lambda c: f"-{c}"),
+            st.tuples(children, st.sampled_from(exponents)).map("^".join),
+        )
+
+    return st.recursive(st.sampled_from(leaves), combine, max_leaves=8)
+
+
+valid_texts = written_texts(WRITTEN_POOL, WRITTEN_EXPONENTS)
+any_texts = written_texts(WRITTEN_POOL + ERROR_LEAVES,
+                          WRITTEN_EXPONENTS + ERROR_EXPONENTS)
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except Exception as exc:  # the error class and message, position included
+        return type(exc), str(exc)
+
+
+def points_by_valuation(cover):
+    points = Counter()
+    for npoints, v in cover.valuations():
+        points[v] += npoints
+    return points
+
+
+def table_facts(radicands):
+    t = build_branch_table(radicands)
+    s = branch_count(t)
+    return s.rank, s.branch_count, multiquadratic_genus_table(t)
+
+
+class TestWrittenRadicands:
+    """parse_written + build_branch_table against parse_expr + the same."""
+
+    @given(any_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_same_errors_zero_test_and_table(self, text):
+        expanded, written = outcome(parse_expr, text), outcome(parse_written, text)
+        if isinstance(expanded, tuple):
+            assert written == expanded
+        else:
+            assert written.is_zero == expanded.is_zero
+            assert outcome(table_facts, [written]) == \
+                outcome(table_facts, [expanded])
+
+    @given(st.lists(valid_texts, min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_genus_rank_and_branch_count(self, texts):
+        try:
+            expanded = [parse_expr(t) for t in texts]
+        except ParseError:
+            return
+        written = [parse_written(t) for t in texts]
+        assert outcome(table_facts, written) == outcome(table_facts, expanded)
+
+    @given(valid_texts, st.sampled_from([3, 4, 5]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_cyclic_genus(self, text, e):
+        try:
+            expanded = parse_expr(text)
+        except ParseError:
+            return
+
+        def genus(f):
+            return cyclic_cover_genus(CoverSpec(f, e))
+
+        assert outcome(genus, parse_written(text)) == outcome(genus, expanded)
+
+    def test_finer_basis_same_valuations(self):
+        text = "(x^2-1)^2*(x^2-4)^2/(x+3)"
+        written, expanded = parse_written(text), parse_expr(text)
+        t_w, t_e = build_branch_table([written]), build_branch_table([expanded])
+        assert [b.degree for b in t_w.basis] == [1, 2, 2]
+        assert [b.degree for b in t_e.basis] == [1, 4]
+        assert table_facts([written]) == table_facts([expanded])
+        assert points_by_valuation(CoverSpec(written, 3)) == \
+            points_by_valuation(CoverSpec(expanded, 3)) == {-1: 1, 2: 4, -7: 1}
+
+    def test_products_of_powers_are_never_expanded(self, monkeypatch, capsys):
+        muls = count_calls(monkeypatch, poly, "_int_mul")
+        pows = count_calls(monkeypatch, poly, "_int_pow")
+        assert main(["genus", "--json", "--", "(x+1)^2000/(x^2-1)^1000",
+                     "x"]) == 0
+        assert '"genus": 0,' in capsys.readouterr().out
+        sizes = [len(a) for args in muls + pows for a in args
+                 if isinstance(a, list)]
+        assert sizes and max(sizes) <= 3
