@@ -16,9 +16,13 @@ recorded as constant defects on the witness, never silently accepted.
 
 The module also computes the minimal polynomial of the sum of the square
 roots of independent generators by iterated resultants with the quadratics
-y^2 - f_i, each taken as the norm a^2 - f_i*b^2 of the reduction of
-p(z - y) modulo y^2 - f_i (resultant_with_quadratic); no Sylvester matrix
-is formed.
+y^2 - f_i, each taken as a norm, with no Sylvester matrix.  Every step of
+that tower is even in z, since the sign sums sum(+-sqrt(f_i)) are closed
+under negation, so resultants.resultant_tower runs it in w = z^2: the norm
+of P(w + F - 2t) with t = z*y and t^2 = w*F is A^2 - w*F*B^2.  It clears
+denominators once, with one scale c for all generators, passes integer
+rows from step to step with a slot width sized per step, and builds
+UPolys only at the end.
 """
 
 from __future__ import annotations
@@ -47,10 +51,9 @@ from .poly import (
 from .resultants import (
     ZPoly,
     clear_denominators_monic,
-    resultant_with_quadratic,
+    resultant_tower,
     zp_is_monic,
     zp_is_squarefree_in_z,
-    zpoly,
 )
 
 CONIC_SEARCH_HEIGHT = 100
@@ -270,6 +273,8 @@ class MinPoly:
 def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
     """Iterated-resultant minimal polynomial of the sum of square roots.
 
+    The resultants are taken in w = z^2 on integer rows (resultant_tower).
+
     Rational generators are first replaced by polynomial ones of the same
     square class by clearing denominators of z^2 - f; the result's
     generators are those polynomials.  Requires the generators' classes to
@@ -308,9 +313,7 @@ def minpoly_multiquadratic(generators: Sequence[RatFunc | UPoly]) -> MinPoly:
             f" (relation among indices {relation})",
             relation=relation,
         )
-    p: ZPoly = zpoly([-polys[0], UPoly.zero(), UPoly.one()])
-    for f in polys[1:]:
-        p = resultant_with_quadratic(p, f)
+    p = resultant_tower(polys)
     if not zp_is_monic(p) or len(p) - 1 != 2 ** len(polys):
         raise RuntimeError("resultant iteration lost monicity or degree")
     if not zp_is_squarefree_in_z(p):

@@ -2,21 +2,39 @@
 
 The objects here are polynomials in an auxiliary variable z whose
 coefficients live in Q[x] ("ZPoly", a tuple of UPoly, constant term first).
-Minimal polynomials eliminate y from p(z - y) and y^2 - f with
-resultant_with_quadratic: the norm a^2 - f*b^2 of p(z - y) reduced modulo
-y^2 - f, so no Sylvester matrix is formed.
+Minimal polynomials eliminate y from p(z - y) and y^2 - f: the resultant is
+the norm p(z - sqrt(f)) * p(z + sqrt(f)), computed from p(z - y) reduced
+modulo y^2 - f, so no Sylvester matrix is formed.
 
-The norm runs on integers, not on ZPoly values.  After clearing
-denominators, every coefficient in x is evaluated at one large power of
-two X = 2^(8*width) (Kronecker substitution, as in UPoly products), so the
-computation becomes one over lists of Python ints in z, whose two
-squarings are themselves Kronecker products; the coefficients in x are
-read back once at the end.  width comes from a sound bound: the same
-computation on the 1-norms of the coefficients, which bounds every
-coefficient of the result.  The squarefree certificate for the result
-likewise evaluates x at small integers and takes integer gcds; a point
-fails only at a root of Res_z(p, dp/dz), whose degree in x bounds how
+The minimal polynomial of sum(sqrt(f_i)) is the tower p_1 = z^2 - f_1,
+p_{k+1} = Res_y(p_k(z - y), y^2 - f_{k+1}), and resultant_tower computes it
+in w = z^2.  Every p_k is even, p_k(z) = P_k(z^2): its roots are the sign
+sums sum(+-sqrt(f_i)), a set closed under negation.  With y^2 = F,
+t = z*y (so t^2 = w*F) and u = w + F, p_k(z - y) = P_k(u - 2t) = A + B*t
+for polynomials A, B in w, and the norm is P_{k+1} = A^2 - w*F*B^2: half
+the length of the same computation in z, whose odd coefficients are zero.
+Denominators are cleared once for the whole tower: with c the least common
+denominator of every f_i, the tower of the integer F_i = c^2*f_i has the
+roots c*sum(+-sqrt(f_i)), so its coefficient of w^j divided by c^(2N - 2j)
+(N = 2^(m-1)) is that of z^(2j) in the answer.
+
+The norms run on integers, not on ZPoly values.  Every coefficient in x is
+evaluated at one large power of two X = 2^(8*width) (Kronecker
+substitution, as in UPoly products), so a norm becomes a computation on
+lists of Python ints in w (or z), whose two squarings are themselves
+Kronecker products.  width comes from a sound bound: the same computation
+on the 1-norms of the coefficients, which bounds every coefficient of the
+result.  The tower passes integer rows in x from step to step and sizes
+each step's width from the 1-norms of its actual rows: bounds iterated over
+the whole tower come out 1.5 to 1.9 times the true bit size, and every
+product would pay for the excess.  The squarefree certificate for the
+result likewise evaluates x at small integers and takes integer gcds; a
+point fails only at a root of Res_z(p, dp/dz), whose degree in x bounds how
 many points can fail before the answer is proven.
+
+resultant_with_quadratic takes one such norm for a general p in z, not
+necessarily even; the tower needs it no longer, and the tests check the
+tower against chains of it.
 """
 
 from __future__ import annotations
@@ -57,6 +75,7 @@ def zpoly(coeffs: Iterable[Union[UPoly, int, Fraction]]) -> ZPoly:
 
 ZP_ZERO: ZPoly = ()
 ZP_ONE: ZPoly = (UPoly.one(),)
+_MINUS_ONE = (Fraction(-1),)
 
 
 def zp_degree(p: ZPoly) -> int | None:
@@ -96,7 +115,7 @@ def zp_to_str(p: ZPoly, zvar: str = "z", var: str = "x") -> str:
         mon = zvar if k == 1 else f"{zvar}^{k}"
         if c.is_one:
             body, sign = mon, +1
-        elif c == UPoly.constant(-1):
+        elif c.coeffs == _MINUS_ONE:
             body, sign = mon, -1
         elif c.is_constant:
             val = c.coeff(0)
@@ -225,6 +244,80 @@ def _norm_over_sqrt(coeffs: list[int], big_f: int, sign: int) -> list[int]:
     if b:
         for k, t in enumerate(_int_mul(b, b)):
             out[k] += sf * t
+    return out
+
+
+def resultant_tower(fs: Sequence[UPoly]) -> ZPoly:
+    """The chain p = z^2 - f_1, p <- resultant_with_quadratic(p, f) for the
+    rest of fs (nonempty), computed in w = z^2 on integer rows.
+
+    The result is prod(z - sum(e_i*sqrt(f_i))) over the 2^m sign vectors
+    e, so it is even in z.  With c the least common denominator of all
+    coefficients of the f_i, the rows of P_1 = w - F_1, F_i = c^2*f_i, are
+    integer lists in x, and each step maps the rows of P_k to those of
+    P_{k+1} = A^2 - w*F*B^2 (_tower_step).  Only the last rows become
+    UPolys: the coefficient of z^(2j) is row j over c^(2N - 2j), N the
+    degree in w, and the odd coefficients are zero.
+    """
+    c = lcm(*[a.denominator for f in fs for a in f.coeffs])
+    big_fs = [[a.numerator * (c // a.denominator) * c for a in f.coeffs]
+              for f in fs]
+    rows = [[-a for a in big_fs[0]], [1]]
+    for big_f in big_fs[1:]:
+        rows = _tower_step(rows, big_f)
+    n = len(rows) - 1
+    out = [UPoly.zero()] * (2 * n + 1)
+    for j, row in enumerate(rows):
+        if row:
+            out[2 * j] = _scaled(Fraction(1, c ** (2 * (n - j))), row)
+    return tuple(out)
+
+
+def _tower_step(rows: list[list[int]], big_f: list[int]) -> list[list[int]]:
+    """The rows in x of A^2 - w*F*B^2, with A + B*t = P(w + F - 2t) and P
+    given by rows (w-ascending, of positive degree in w), F by big_f.
+
+    The slots also hold the rows and F: the bound's A holds each c_j*w^j,
+    so its square bounds every row, and B is nonzero, so F*B^2 bounds F.
+    """
+    bound = max([*_norm_in_w([sum(map(abs, r)) for r in rows],
+                             sum(map(abs, big_f)), 1),
+                 *map(abs, big_f)])
+    width = bound.bit_length() // 8 + 1
+    norm = _norm_in_w([_pack(r, width) for r in rows], _pack(big_f, width), -1)
+    return [_digits(value, width) for value in norm]
+
+
+def _norm_in_w(coeffs: list[int], big_f: int, sign: int) -> list[int]:
+    """A^2 + sign*w*F*B^2 with A + B*t = sum_j c_j*(w + F + 2*sign*t)^j
+    mod t^2 - w*F.
+
+    The c_j are coeffs, w-ascending.  With sign = -1 and the values P_j(X)
+    and F(X) this is the norm P(u - 2t)*P(u + 2t) = A^2 - t^2*B^2 at X.
+    With sign = 1 and the 1-norms of the P_j and F, every term counts
+    positive, so each entry bounds the 1-norm of the matching coefficient
+    of the norm.
+    """
+    two = 2 * sign
+    a: list[int] = []
+    b: list[int] = []
+    for c in reversed(coeffs):
+        # Horner: (a + b*t)*(w + F + 2*sign*t) + c, with t^2 = w*F
+        new_a = [c, *a]
+        new_b = [two * s for s in a]
+        for k, s in enumerate(a):
+            new_a[k] += big_f * s
+        for k, s in enumerate(b):
+            fs = big_f * s
+            new_a[k + 1] += two * fs
+            new_b[k] += fs
+            new_b[k + 1] += s
+        a, b = new_a, new_b
+    out = _int_mul(a, a)
+    if b:
+        sf = sign * big_f
+        for k, s in enumerate(_int_mul(b, b)):
+            out[k + 1] += sf * s
     return out
 
 

@@ -14,6 +14,9 @@ the 2^m subset enumeration that the library's criterion, which checks at
 most three distinct parity rows, replaced.  fraction_resultant_with_quadratic
 and fraction_is_squarefree_in_z are the Fraction versions of the minimal
 polynomial kernels, which the library runs on packed integers.
+chained_resultant_tower is the minimal polynomial tower as the chain of
+resultant_with_quadratic steps in z that the library's resultant_tower
+replaced.
 fraction_to_str prints a UPoly with Fraction comparisons on each
 coefficient, the form UPoly.to_str replaced.  squaring_int_pow raises an
 integer list to a power by repeated squaring, as the library did before
@@ -58,6 +61,7 @@ from sqrat.resultants import (
     ZP_ONE,
     ZP_ZERO,
     ZPoly,
+    resultant_with_quadratic,
     zp_degree,
     zp_mul,
     zpoly,
@@ -354,6 +358,14 @@ def fraction_resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
         shifted_v = zpoly((UPoly.zero(),) + v)
         u, v = zp_sub(shifted_u, zp_mul(f_z, v)), zp_sub(shifted_v, u)
     return zp_sub(zp_mul(a, a), zp_mul(f_z, zp_mul(b, b)))
+
+
+def chained_resultant_tower(fs: Sequence[UPoly]) -> ZPoly:
+    """p = z^2 - f_1, then p <- Res_y(p(z - y), y^2 - f) for the rest of fs."""
+    p = zpoly([-fs[0], 0, 1])
+    for f in fs[1:]:
+        p = resultant_with_quadratic(p, f)
+    return p
 
 
 def euclid_gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:

@@ -1,25 +1,33 @@
 """Resultants with quadratics against Sylvester determinants, the Fraction
 kernels and sympy; the squarefree certificate; denominator clearing."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly
-from oracles import fraction_is_squarefree_in_z, fraction_resultant_with_quadratic
+from oracles import (
+    chained_resultant_tower,
+    fraction_is_squarefree_in_z,
+    fraction_resultant_with_quadratic,
+)
 from sylvester import resultant, shift_by_minus_y
-from sqrat import resultants
+from sqrat import poly, rationalize, resultants
 from sqrat.errors import ZeroInputError
 from sqrat.lattice import build_branch_table, gf2_eliminate
 from sqrat.poly import RatFunc, UPoly
+from sqrat.rationalize import minpoly_multiquadratic
 from sqrat.resultants import (
     ZP_ONE,
     ZP_ZERO,
     clear_denominators_monic,
+    resultant_tower,
     resultant_with_quadratic,
     zp_is_squarefree_in_z,
     zp_mul,
@@ -207,6 +215,103 @@ class TestPackedNorm:
         assert calls == []
 
 
+# generator families for the minimal polynomial: integer or rational
+# coefficients, quotients (the clear_denominators_monic path), and pairs
+# (i, j) that append gens[i]*gens[j], a dependent member (a square if
+# i == j)
+int_x_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(UPoly)
+rational_x_polys = st.lists(st.builds(Fraction, st.integers(-9, 9),
+                                      st.sampled_from([1, 2, 3, 12])),
+                            min_size=1, max_size=4).map(UPoly)
+nonconstant_x_polys = st.one_of(int_x_polys, rational_x_polys).filter(
+    lambda p: p.degree)
+generators = st.one_of(
+    int_x_polys.filter(lambda p: p.degree).map(RatFunc),
+    rational_x_polys.filter(lambda p: p.degree).map(RatFunc),
+    st.builds(RatFunc, nonconstant_x_polys,
+              st.lists(st.integers(-3, 3), min_size=2, max_size=3)
+              .map(UPoly).filter(lambda d: d.degree)),
+)
+families = st.tuples(st.lists(generators, min_size=1, max_size=6, unique_by=str),
+                     st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                              max_size=1))
+
+
+def minpoly_outcome(gens):
+    """(poly, generators) of minpoly_multiquadratic, or (error type, message)."""
+    try:
+        mp = minpoly_multiquadratic(gens)
+    except Exception as error:  # any error is part of the outcome
+        return type(error), str(error)
+    return mp.poly, mp.generators
+
+
+class TestResultantTower:
+    """resultant_tower in w = z^2 against chains of resultant_with_quadratic."""
+
+    @given(fs=st.lists(x_polys, min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_chain(self, fs):
+        # zero, constant and 2,000-bit generators too
+        assert resultant_tower(fs) == chained_resultant_tower(fs)
+
+    @given(family=families)
+    @settings(max_examples=100, deadline=None)
+    def test_minpoly_matches_chain(self, family):
+        gens, products = family
+        gens = gens + [gens[i % len(gens)] * gens[j % len(gens)]
+                       for i, j in products]
+        with mock.patch.object(rationalize, "resultant_tower",
+                               chained_resultant_tower):
+            expected = minpoly_outcome(gens)
+        assert minpoly_outcome(gens) == expected
+
+    def test_seven_linear_generators(self):
+        # the digest of the degree-128 polynomial as the chain in z gave it
+        mp = minpoly_multiquadratic([X + k for k in range(7)])
+        assert mp.degree == 128
+        assert hashlib.sha256(zp_to_str(mp.poly).encode()).hexdigest() == \
+            "09d46a3448b9f33a8c1bff839ab1ec1b904dd91bcd56868339947c7645c1edc3"
+
+    def test_one_conversion_at_the_end(self, monkeypatch):
+        # no step in z and no UPoly between steps: the tower builds only the
+        # final nonzero coefficients (with _scaled) and one zero
+        calls = []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, _original=original):
+                calls.append(name)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        for owner in (resultants, rationalize):
+            if hasattr(owner, "resultant_with_quadratic"):
+                count(owner, "resultant_with_quadratic")
+        count(resultants, "_scaled")
+        count(poly, "_upoly")
+        count(UPoly, "__init__")
+        during = []
+        tower = rationalize.resultant_tower
+
+        def counted_tower(fs):
+            start = len(calls)
+            out = tower(fs)
+            during.extend(calls[start:])
+            return out
+
+        monkeypatch.setattr(rationalize, "resultant_tower", counted_tower)
+        mp = minpoly_multiquadratic([X, X - 1, X + 2, 3 * X + 1, X - 5])
+        nonzero = sum(1 for c in mp.poly if c)
+        assert mp.degree == 32 and nonzero == 2 ** 4 + 1
+        assert "resultant_with_quadratic" not in calls
+        assert during.count("_scaled") == nonzero
+        assert during.count("_upoly") == nonzero
+        assert during.count("__init__") <= 1
+
+
 class TestSquarefreeCertificate:
     @given(p=moderate_z_polys, square=st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -311,6 +416,15 @@ class TestClearDenominators:
                 lhs = RatFunc(p[k]) * u_rf**k if k < len(p) else RatFunc(0)
                 rhs = coeffs[k] * u_rf**n
                 assert lhs == rhs
+
+    def test_to_str_signs(self, monkeypatch):
+        # a -1 coefficient is found by its coefficient tuple, not by
+        # building a constant to compare with
+        polys = [zpoly([X, 0, -1]), zpoly([1, -1, 1]), zpoly([-X, 1]),
+                 zpoly([-1, Fraction(-1, 2)])]
+        monkeypatch.setattr(UPoly, "constant", None)
+        assert [zp_to_str(p) for p in polys] == [
+            "-z^2 + x", "z^2 - z + 1", "z - x", "-1/2*z - 1"]
 
     def test_to_str(self):
         p = zpoly([1296 * X**2 + 1800 * X + 625, UPoly.zero(), -2])
