@@ -61,8 +61,11 @@ def _load_radicands(args, parse=None) -> list[RadicandSpec]:
     if args.file and args.exprs:
         raise SqratError("give radicands either positionally or via --file")
     if args.file:
-        return parse_radicand_file(
-            Path(args.file).read_text(encoding="utf-8"), parse)
+        try:
+            text = Path(args.file).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:  # read whole, so start is a file offset
+            raise SqratError(f"{args.file}: not UTF-8 at byte {exc.start}") from None
+        return parse_radicand_file(text, parse)
     if not args.exprs:
         raise SqratError("no radicands given")
     specs = []

@@ -31,13 +31,15 @@ constants) are evaluated while the tree is read, and divisors are tested
 for zero, so errors come in text order.  The zero test evaluates only
 sums and leaves: a product is zero iff one of its factors is, a power
 iff its base is and the exponent is positive, and a negation iff its
-operand is.  The tree is then evaluated on integers: a polynomial is an
-integer coefficient list over a positive integer denominator, so sums,
-products, powers and divisions by constants are integer list operations,
-a RatFunc is built only at a "/" whose divisor is not constant, and the
-result becomes a UPoly or RatFunc once, at the end.  A power of a power,
-(p^a)^b, is read as the one node p^(a*b), with the same bound, and
-powers of short bases take no product of polynomials (poly._int_pow).
+operand is.  The tree is then evaluated with the operators of UPoly and
+RatFunc.  A value is a UPoly, whose arithmetic runs on integer numerators
+over one denominator, or a RatFunc whose denominator is not 1; a RatFunc
+result over 1 is demoted to its numerator.  So sums, products, powers and
+divisions by constants of polynomials are integer list operations, and a
+RatFunc is built only at a "/" whose divisor is not constant, or for the
+result.  A power of a power, (p^a)^b, is read as the one node p^(a*b),
+with the same bound, and powers of short bases take no product of
+polynomials (poly._int_pow).
 RatFunc steps reduce by a gcd only when they must: a quotient with a
 power p^a as one operand is coprime when p is coprime to the other, a
 small gcd in place of the large one, and RatFunc arithmetic with a
@@ -63,8 +65,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Union
 
 from .errors import (
@@ -77,17 +77,7 @@ from .errors import (
     ZeroRadicandError,
 )
 from .lattice import Written
-from .poly import (
-    RatFunc,
-    UPoly,
-    _coprime_ratfunc,
-    _int_gcd_cofactors,
-    _int_mul,
-    _int_pow,
-    _int_sub,
-    _integer_numerators,
-    _upoly,
-)
+from .poly import RatFunc, UPoly, _coprime_ratfunc, _int_gcd_cofactors, _upoly
 
 MAX_EXPONENT = 4096
 MAX_NESTING = 100
@@ -285,15 +275,15 @@ class _Parser:
         if tok is not None and tok.kind == "^":
             self.advance()
             exponent = _evaluate(self.unary())
-            if not (isinstance(exponent, tuple) and len(exponent[0]) <= 1):
+            if not (isinstance(exponent, UPoly) and exponent.is_constant):
                 raise ExprSyntaxError("exponent must be a constant",
                                       position=tok.position)
-            ints, den = exponent
-            n, rest = divmod(ints[0] if ints else 0, den)
-            if rest:
+            c = exponent.coeff(0)
+            if c.denominator != 1:
                 raise ExprSyntaxError(
                     "exponent must be a nonnegative integer",
                     position=tok.position)
+            n = c.numerator
             if n < 0:
                 raise NegativeExponentError(
                     "negative exponents are not allowed",
@@ -323,7 +313,7 @@ class _Parser:
             # the least b with n <= 2^b
             bits = (n - 1).bit_length() if n else 0
             return _Node("leaf", None, _Bound(0, bits, 0, 0),
-                         ([n] if n else [], 1))
+                         _upoly([n] if n else []))
         if tok.kind == "name":
             if tok.text == "x":
                 return _Node("leaf", None, _X_BOUND, _X)
@@ -349,18 +339,14 @@ def _check_budget(bound: _Bound, tok: Token):
             position=tok.position)
 
 
-_X = ([0, 1], 1)
+_X = UPoly.x()
 _X_BOUND = _Bound(1, 0, 0, 0)
 
-# A polynomial value is (ints, den), the integer coefficient list ints
-# (no trailing zeros; [] is zero) over the positive integer den.  Other
-# values are RatFuncs whose denominator is not 1.  Value lists may be
-# shared between nodes, so they are never changed in place.
-Value = Union[tuple[list[int], int], RatFunc]
+Value = Union[UPoly, RatFunc]
 
 
 def _evaluate(node: _Node) -> Value:
-    """Value of a node: (ints, den), or a RatFunc whose denominator is not 1."""
+    """Value of a node: a UPoly, or a RatFunc whose denominator is not 1."""
     if node.value is None:
         node.value = _EVALUATORS[node.op](node.args)
     return node.value
@@ -375,33 +361,18 @@ def _is_zero(node: _Node) -> bool:
     if node.op == "power":
         base, n = node.args
         return n > 0 and _is_zero(base)
-    value = _evaluate(node)
-    return isinstance(value, tuple) and not value[0]
+    return not _evaluate(node)
 
 
 def _evaluate_neg(inner: _Node) -> Value:
-    value = _evaluate(inner)
-    if isinstance(value, RatFunc):
-        return -value
-    ints, den = value
-    return [-c for c in ints], den
+    return -_evaluate(inner)
 
 
 def _evaluate_sum(terms) -> Value:
     value = _evaluate(terms[0][1])
     for sign, node in terms[1:]:
         rhs = _evaluate(node)
-        if isinstance(value, tuple) and isinstance(rhs, tuple):
-            # over the least common denominator: ia*(db/g) -/+ ib*(da/g)
-            (ia, da), (ib, db) = value, rhs
-            g = gcd(da, db)
-            if db != g:
-                ia = [c * (db // g) for c in ia]
-            scale = da // g if sign == "-" else -(da // g)
-            value = _int_sub(ia, [scale * c for c in ib]), da * (db // g)
-        else:
-            a, b = _as_ratfunc(value), _as_ratfunc(rhs)
-            value = _from_ratfunc(a + b if sign == "+" else a - b)
+        value = _demoted(value + rhs if sign == "+" else value - rhs)
     return value
 
 
@@ -410,28 +381,23 @@ def _evaluate_product(factors) -> Value:
     value = _evaluate(left)
     for op, node in factors[1:]:
         rhs = _evaluate(node)
-        if isinstance(value, tuple) and isinstance(rhs, tuple):
-            (ia, da), (ib, db) = value, rhs
-            if op == "*":
-                value = (_int_mul(ia, ib), da * db) if ia and ib else ([], 1)
-            elif len(ib) == 1:
-                # a nonzero constant c/db: multiply by db/c
-                c = ib[0]
-                value = _int_mul(ia, [db if c > 0 else -db]), da * abs(c)
-            elif ia and (_power_coprime_to(node, ia)
-                         or _power_coprime_to(left, ib)):
-                value = _coprime_ratfunc(_as_upoly(value), _as_upoly(rhs))
-            else:
-                value = _from_ratfunc(RatFunc(_as_upoly(value), _as_upoly(rhs)))
+        if op == "*":
+            value = value * rhs
+        elif isinstance(rhs, UPoly) and rhs.is_constant:
+            value = value / rhs.leading
+        elif (isinstance(value, UPoly) and isinstance(rhs, UPoly) and value
+              and (_power_coprime_to(node, value)
+                   or _power_coprime_to(left, rhs))):
+            value = _coprime_ratfunc(value, rhs)
         else:
-            a, b = _as_ratfunc(value), _as_ratfunc(rhs)
-            value = _from_ratfunc(a * b if op == "*" else a / b)
+            value = _as_ratfunc(value) / rhs
+        value = _demoted(value)
         left = None
     return value
 
 
-def _power_coprime_to(node: _Node | None, ints: list[int]) -> bool:
-    """Whether node is a power p^a, a >= 2, of a polynomial p coprime to ints.
+def _power_coprime_to(node: _Node | None, other: UPoly) -> bool:
+    """Whether node is a power p^a, a >= 2, of a polynomial p coprime to other.
 
     gcd(p^a, D) = 1 iff gcd(p, D) = 1, so the gcd taken is the small one.
     The parser folds nested powers, so p is not a power; with a = 1 the
@@ -440,21 +406,15 @@ def _power_coprime_to(node: _Node | None, ints: list[int]) -> bool:
     if node is None or node.op != "power" or node.args[1] < 2:
         return False
     base = _evaluate(node.args[0])
-    return (isinstance(base, tuple) and bool(base[0])
-            and len(_int_gcd_cofactors(base[0], ints)[0]) == 1)
+    return (isinstance(base, UPoly) and bool(base)
+            and len(_int_gcd_cofactors(base._ints, other._ints)[0]) == 1)
 
 
 def _evaluate_power(args) -> Value:
     base, n = args
     if not n:
-        return [1], 1
-    value = _evaluate(base)
-    if isinstance(value, RatFunc):
-        return value ** n
-    ints, den = value
-    if not ints:
-        return value
-    return _int_pow(ints, n), den ** n
+        return UPoly.one()
+    return _evaluate(base) ** n
 
 
 _EVALUATORS = {
@@ -465,22 +425,14 @@ _EVALUATORS = {
 }
 
 
-def _as_upoly(value: tuple[list[int], int]) -> UPoly:
-    ints, den = value
-    if den == 1:
-        return _upoly([Fraction(c) for c in ints])
-    return _upoly([Fraction(c, den) for c in ints])
-
-
 def _as_ratfunc(value: Value) -> RatFunc:
-    return value if isinstance(value, RatFunc) else RatFunc(_as_upoly(value))
+    return value if isinstance(value, RatFunc) else RatFunc(value)
 
 
-def _from_ratfunc(value: RatFunc) -> Value:
-    """A RatFunc with denominator 1 as (ints, den); anything else as it is."""
-    if value.den.is_one:
-        den, ints = _integer_numerators(value.num.coeffs)
-        return ints, den
+def _demoted(value: Value) -> Value:
+    """A RatFunc with denominator 1 as its numerator; anything else as it is."""
+    if isinstance(value, RatFunc) and value.den.is_one:
+        return value.num
     return value
 
 

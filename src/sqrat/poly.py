@@ -1,14 +1,17 @@
 """Exact univariate polynomial and rational function arithmetic over Q.
 
-A polynomial is a dense tuple of `fractions.Fraction` coefficients in one
-distinguished variable, constant term first, with no trailing zeros.  The
-degree of the zero polynomial is the sentinel None, never -1.  A rational
-function keeps numerator and denominator coprime with a monic denominator,
-so equality is structural; negation, and sums, products and quotients
-with a constant (sums with a polynomial), keep that form without a gcd.
-Products use Kronecker substitution: each
-operand, scaled to integer coefficients, is packed into one Python int, so
-a single big-integer product (Karatsuba in CPython) does the work; a
+A polynomial is a list of integer numerators over one positive integer
+denominator, constant term first: _ints, with no trailing zeros, and _den,
+in lowest terms (gcd(_den, *_ints) == 1), so equality is structural.  The
+zero polynomial is [] over 1; its degree is the sentinel None, never -1.
+Values and kernels share these lists, so no list is changed in place.
+Fractions are built only when asked for (coeffs, coeff, leading).  A
+rational function keeps numerator and denominator coprime with a monic
+denominator, so its equality is structural too; negation, and sums,
+products and quotients with a constant (sums with a polynomial), keep
+that form without a gcd.  Products use Kronecker substitution: the
+integer numerators of each operand are packed into one Python int, so a
+single big-integer product (Karatsuba in CPython) does the work; a
 constant operand just scales the other.  Powers of a base with fewer
 terms than the exponent come from Miller's recurrence on the integer
 coefficients, one coefficient at a time, with no big product; others
@@ -37,10 +40,10 @@ toolbox the rest of the library is built on:
   * substitution x -> s(t) for nonconstant rational s, and exact square
     testing that distinguishes squares over Q from squares over C.
 
-Yun's algorithm and the coprime basis convert from Fraction once on the
-way in (primitive integer parts) and once on the way out (monic UPoly
-values), so their gcds, cofactors and derivatives are integer list
-operations.
+Yun's algorithm and the coprime basis take the primitive part of the
+integer numerators on the way in and put a monic UPoly over its leading
+coefficient on the way out, so their gcds, cofactors and derivatives are
+integer list operations.
 
 Decision-level code treats nonzero constants as squares (true over C, the
 constant field the geometry lives over); only witness verification cares
@@ -68,15 +71,20 @@ def _as_fraction(value: Scalar) -> Fraction:
 
 
 class UPoly:
-    """Dense univariate polynomial with Fraction coefficients."""
+    """Dense univariate polynomial over Q: integer numerators over one denominator."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_den", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self._coeffs = tuple(cs)
+        # den is the lcm of reduced denominators: each prime power in den
+        # divides some denominator exactly, and not its numerator, so
+        # gcd(den, *ints) == 1
+        den = lcm(*[c.denominator for c in cs])
+        self._den = den
+        self._ints = [c.numerator * (den // c.denominator) for c in cs]
 
     # -- constructors -----------------------------------------------------
 
@@ -106,67 +114,62 @@ class UPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple([Fraction(c, den) for c in self._ints])
 
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (a true sentinel)."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        return len(self._ints) - 1 if self._ints else None
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._ints:
             raise ZeroInputError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._ints[-1], self._den)
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._ints
 
     @property
     def is_one(self) -> bool:
-        return self._coeffs == (Fraction(1),)
+        return self._ints == [1] and self._den == 1
 
     @property
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._ints) <= 1
 
     def coeff(self, k: int) -> Fraction:
         """Coefficient of x^k (zero beyond the degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._ints):
+            return Fraction(self._ints[k], self._den)
         return Fraction(0)
 
     def sort_key(self) -> tuple:
-        return (len(self._coeffs), self._coeffs)
+        return (len(self._ints), self.coeffs)
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._ints)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce_upoly(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._den == other._den and self._ints == other._ints
 
     __hash__ = None  # cross-type equality with scalars; do not use as dict key
 
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self) -> UPoly:
-        return UPoly(tuple(-c for c in self._coeffs))
+        return _upoly([-c for c in self._ints], self._den)
 
     def __add__(self, other) -> UPoly:
         other = _coerce_upoly(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UPoly(out)
+        return _add(self, other, 1)
 
     __radd__ = __add__
 
@@ -174,35 +177,32 @@ class UPoly:
         other = _coerce_upoly(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return _add(self, other, -1)
 
     def __rsub__(self, other) -> UPoly:
         other = _coerce_upoly(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _add(other, self, -1)
 
     def __mul__(self, other) -> UPoly:
         other = _coerce_upoly(other)
         if other is None:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._ints, other._ints
         if not a or not b:
             return UPoly()
-        da, ia = _integer_numerators(a)
-        db, ib = (da, ia) if b is a else _integer_numerators(b)
-        den = da * db
-        return _upoly([Fraction(c, den) for c in _int_mul(ia, ib)])
+        return _lowest(_int_mul(a, b), self._den * other._den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> UPoly:
         # scalar division only; polynomial division goes through divmod
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return UPoly(tuple(a / c for a in self._coeffs))
+            d = other.denominator
+            return _lowest([c * d for c in self._ints], self._den * other.numerator)
         return NotImplemented
 
     def __pow__(self, n: int) -> UPoly:
@@ -210,11 +210,10 @@ class UPoly:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         if not n:
             return UPoly.one()
-        if n == 1 or not self._coeffs:
+        if n == 1 or not self._ints:
             return self
-        den, ints = _integer_numerators(self._coeffs)
-        den **= n
-        return _upoly([Fraction(c, den) for c in _int_pow(ints, n)])
+        # the content of f^n is content(f)^n (Gauss), coprime to den^n
+        return _upoly(_int_pow(self._ints, n), self._den ** n)
 
     def __divmod__(self, other) -> tuple[UPoly, UPoly]:
         other = _coerce_upoly(other)
@@ -222,9 +221,10 @@ class UPoly:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dd = len(other._coeffs) - 1
-        lead = other._coeffs[-1]
+        rem = list(self.coeffs)
+        divisor = other.coeffs
+        dd = len(divisor) - 1
+        lead = divisor[-1]
         quo = [Fraction(0)] * max(len(rem) - dd, 0)
         for k in range(len(rem) - 1, dd - 1, -1):
             c = rem[k]
@@ -233,7 +233,7 @@ class UPoly:
             q = c / lead
             quo[k - dd] = q
             for j in range(dd + 1):
-                rem[k - dd + j] -= q * other._coeffs[j]
+                rem[k - dd + j] -= q * divisor[j]
         return UPoly(quo), UPoly(rem)
 
     def __floordiv__(self, other) -> UPoly:
@@ -252,40 +252,43 @@ class UPoly:
     def monic(self) -> UPoly:
         if self.is_zero:
             raise ZeroInputError("cannot normalize the zero polynomial")
-        return self / self.leading
+        return _monic(self._ints)
 
     def derivative(self) -> UPoly:
-        return UPoly(tuple(i * c for i, c in enumerate(self._coeffs) if i))
+        return _lowest([k * c for k, c in enumerate(self._ints) if k], self._den)
 
     def evaluate(self, point: Scalar) -> Fraction:
         v = _as_fraction(point)
         acc = Fraction(0)
-        for c in reversed(self._coeffs):
+        for c in reversed(self._ints):
             acc = acc * v + c
-        return acc
+        return acc / self._den
 
     # -- printing ---------------------------------------------------------
 
     def to_str(self, var: str = "x") -> str:
         """Canonical expression string: descending powers, explicit * and ^."""
-        if not self._coeffs:
+        ints, den = self._ints, self._den
+        if not ints:
             return "0"
         parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
-            # sign and size from the numerator, once per coefficient
-            num, den = c.numerator, c.denominator
+        for k in range(len(ints) - 1, -1, -1):
+            num = ints[k]
             if not num:
                 continue
             negative = num < 0
             if negative:
                 num = -num
-            size = str(num) if den == 1 else f"{num}/{den}"
+            d = den
+            if d != 1:  # the coefficient num/d in lowest terms
+                g = gcd(num, d)
+                num, d = num // g, d // g
+            size = str(num) if d == 1 else f"{num}/{d}"
             if k == 0:
                 body = size
             else:
                 mon = var if k == 1 else f"{var}^{k}"
-                body = mon if num == 1 and den == 1 else f"{size}*{mon}"
+                body = mon if num == 1 and d == 1 else f"{size}*{mon}"
             if not parts:
                 parts.append(f"-{body}" if negative else body)
             else:
@@ -299,17 +302,33 @@ class UPoly:
         return f"UPoly[{self.to_str()}]"
 
 
-def _upoly(coeffs: list[Fraction]) -> UPoly:
-    """UPoly of Fractions whose last entry is nonzero: no conversion or trimming."""
+def _upoly(ints: list[int], den: int = 1) -> UPoly:
+    """ints/den, already in lowest terms: ints has no trailing zeros, den > 0."""
     out = UPoly.__new__(UPoly)
-    out._coeffs = tuple(coeffs)
+    out._den = den
+    out._ints = ints
     return out
 
 
-def _integer_numerators(cs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
-    """(d, [d*c for c in cs]) with d the least common denominator."""
-    den = lcm(*[c.denominator for c in cs])
-    return den, [c.numerator * (den // c.denominator) for c in cs]
+def _lowest(ints: list[int], den: int) -> UPoly:
+    """ints/den in lowest terms, for ints without trailing zeros and den != 0."""
+    if den < 0:
+        den, ints = -den, [-c for c in ints]
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            den //= g
+            ints = [c // g for c in ints]
+    return _upoly(ints, den)
+
+
+def _add(a: UPoly, b: UPoly, sign: int) -> UPoly:
+    """a + sign*b, sign = 1 or -1, over the least common denominator."""
+    da, db = a._den, b._den
+    g = gcd(da, db)
+    ia = a._ints if db == g else [c * (db // g) for c in a._ints]
+    scale = -sign * (da // g)
+    return _lowest(_int_sub(ia, [scale * c for c in b._ints]), da // g * db)
 
 
 def _pack(ints: list[int], width: int) -> int:
@@ -379,7 +398,7 @@ def _coerce_upoly(value) -> UPoly | None:
     if isinstance(value, UPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return UPoly.constant(value)
+        return _upoly([value.numerator] if value else [], value.denominator)
     return None
 
 
@@ -582,8 +601,8 @@ def gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
         return (monic, unit, UPoly.zero()) if a else (monic, UPoly.zero(), unit)
     if a.is_constant or b.is_constant:
         return UPoly.one(), a, b
-    sa, f = _primitive(a.coeffs)
-    sb, g = _primitive(b.coeffs)
+    sa, f = _primitive(a)
+    sb, g = _primitive(b)
     h, cf, cg = _int_gcd_cofactors(f, g)
     if len(h) == 1:  # h == [1]: coprime, the cofactors are a and b
         return UPoly.one(), a, b
@@ -592,16 +611,17 @@ def gcd_cofactors(a: UPoly, b: UPoly) -> tuple[UPoly, UPoly, UPoly]:
     return _monic(h), _scaled(sa * lead, cf), _scaled(sb * lead, cg)
 
 
-def _primitive(cs: tuple[Fraction, ...]) -> tuple[Fraction, list[int]]:
-    """(s, f) with cs = s*f and f a primitive integer coefficient list."""
-    den, ints = _integer_numerators(cs)
+def _primitive(p: UPoly) -> tuple[Fraction, list[int]]:
+    """(s, f) with p = s*f, p nonzero, and f a primitive integer list."""
+    ints = p._ints
     content = gcd(*ints)
-    return Fraction(content, den), [c // content for c in ints]
+    return Fraction(content, p._den), (
+        ints if content == 1 else [c // content for c in ints])
 
 
 def _scaled(s: Fraction, ints: list[int]) -> UPoly:
-    num, den = s.numerator, s.denominator
-    return _upoly([Fraction(num * c, den) for c in ints])
+    """s*ints for a nonzero rational s and an integer list without trailing zeros."""
+    return _lowest([s.numerator * c for c in ints], s.denominator)
 
 
 def _heuristic_gcd(f: list[int], g: list[int]):
@@ -730,7 +750,7 @@ def squarefree_decompose(f: UPoly) -> SqfDecomp:
         raise ZeroInputError("squarefree decomposition of zero")
     if f.is_constant:
         return SqfDecomp(unit=f.leading, parts=())
-    parts = _int_squarefree(_positive(_primitive(f.coeffs)[1]))
+    parts = _int_squarefree(_positive(_primitive(f)[1]))
     return SqfDecomp(unit=f.leading,
                      parts=tuple((_monic(p), i) for p, i in parts))
 
@@ -741,8 +761,8 @@ def _positive(ints: list[int]) -> list[int]:
 
 
 def _monic(ints: list[int]) -> UPoly:
-    lead = ints[-1]
-    return _upoly([Fraction(c, lead) for c in ints])
+    """ints over its leading coefficient, for a nonzero integer list."""
+    return _lowest(ints, ints[-1])
 
 
 def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
@@ -932,7 +952,7 @@ def coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
     for f in polys:
         if f is None or f.is_zero:
             raise ZeroInputError("coprime basis of a family containing zero")
-    primitives = [_primitive(f.coeffs)[1] for f in polys]
+    primitives = [_primitive(f)[1] for f in polys]
     basis: list[tuple[list[int], list[int]]] = []  # (element, exponent in each f)
     for k, prim in enumerate(primitives):
         if len(prim) == 1:
@@ -984,17 +1004,20 @@ def substitute(f: UPoly | RatFunc, s: RatFunc) -> RatFunc:
         raise TypeError("substitution image must be a RatFunc")
     if s.is_constant:
         raise ConstantSubstitutionError("substitution image must be nonconstant")
-    if isinstance(f, UPoly):
-        acc = RatFunc(0)
-        for c in reversed(f.coeffs):
-            acc = acc * s + c
-        return acc
+    if not isinstance(f, (UPoly, RatFunc)):
+        raise TypeError("substitute expects a UPoly or RatFunc")
+    if s.den.is_one and s.num._ints == [0, 1] and s.num._den == 1:
+        return _coerce_ratfunc(f)  # x -> x leaves f as it is
     if isinstance(f, RatFunc):
         den = substitute(f.den, s)
         if den.is_zero:
             raise RuntimeError("nonzero denominator vanished under substitution")
         return substitute(f.num, s) / den
-    raise TypeError("substitute expects a UPoly or RatFunc")
+    # Horner on the integer numerators, then one division by the denominator
+    acc = RatFunc(0)
+    for c in reversed(f._ints):
+        acc = acc * s + c
+    return acc if f._den == 1 else acc / f._den
 
 
 def fraction_sqrt(c: Fraction) -> Fraction | None:

@@ -99,11 +99,10 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
 
       1. a is a square s^2 in Q: lines through the point at infinity,
          x -> (t^2 - c) / (b - 2 s t);
-      2. R has a rational root r (with conjugate r'):
-         lines through (r, 0), x -> (r t^2 - a r') / (t^2 - a);
-      3. bounded search for a rational point (x0, z0) on z^2 = R with
-         numerator and denominator heights <= 100, then lines through it:
-         x -> (x0 t^2 - 2 z0 t + a x0 + b) / (t^2 - a).
+      2. lines through a rational point (x0, z0) on z^2 = R,
+         x -> (x0 t^2 - 2 z0 t + a x0 + b) / (t^2 - a), at (r, 0) when R
+         has a rational root r, else at the first point that a bounded
+         search with numerator and denominator heights <= 100 finds.
 
     Raises NoRationalPointFoundError when the search is exhausted.  Over C
     a parametrization always exists; the decision module, not this one, is
@@ -124,9 +123,7 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
         p, q = g.coeff(1), g.coeff(0)
         disc_root = fraction_sqrt(p * p - 4 * q)
         if disc_root is not None:
-            r = (-p + disc_root) / 2
-            r_conj = (-p - disc_root) / 2
-            sub = RatFunc(UPoly((-a * r_conj, 0, r)), UPoly((-a, 0, 1)))
+            point = ((-p + disc_root) / 2, Fraction(0))
         else:
             point = _search_rational_point(a, b, c)
             if point is None:
@@ -134,8 +131,8 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
                     f"no rational point of height <= {CONIC_SEARCH_HEIGHT} "
                     "on the conic"
                 )
-            x0, z0 = point
-            sub = RatFunc(UPoly((a * x0 + b, -2 * z0, x0)), UPoly((-a, 0, 1)))
+        x0, z0 = point
+        sub = RatFunc(UPoly((a * x0 + b, -2 * z0, x0)), UPoly((-a, 0, 1)))
     rep = RatFunc(UPoly((c, b, a)))
     if not isinstance(is_square(substitute(rep, sub)), SquareOverQ):
         raise RuntimeError("conic parametrization failed to square the class")
@@ -198,8 +195,10 @@ def greedy_rationalize(radicands: Sequence[RatFunc | UPoly]) -> Witness | None:
         d, i = min(live)
         if d > 2:
             return None
+        c, g, _ = classes[i]
+        rep = g * c  # the step reads only the class of its target
         try:
-            step = rationalize_linear(targets[i]) if d == 1 else rationalize_conic(targets[i])
+            step = rationalize_linear(rep) if d == 1 else rationalize_conic(rep)
         except NoRationalPointFoundError:
             return None
         phi = substitute(phi, step)

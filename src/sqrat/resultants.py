@@ -50,7 +50,6 @@ from .poly import (
     _digits,
     _int_gcd_cofactors,
     _int_mul,
-    _integer_numerators,
     _pack,
     _scaled,
     coprime_basis,
@@ -75,7 +74,6 @@ def zpoly(coeffs: Iterable[Union[UPoly, int, Fraction]]) -> ZPoly:
 
 ZP_ZERO: ZPoly = ()
 ZP_ONE: ZPoly = (UPoly.one(),)
-_MINUS_ONE = (Fraction(-1),)
 
 
 def zp_degree(p: ZPoly) -> int | None:
@@ -115,7 +113,7 @@ def zp_to_str(p: ZPoly, zvar: str = "z", var: str = "x") -> str:
         mon = zvar if k == 1 else f"{zvar}^{k}"
         if c.is_one:
             body, sign = mon, +1
-        elif c.coeffs == _MINUS_ONE:
+        elif c._ints == [-1] and c._den == 1:
             body, sign = mon, -1
         elif c.is_constant:
             val = c.coeff(0)
@@ -167,8 +165,9 @@ def zp_is_squarefree_in_z(p: ZPoly) -> bool:
 
 def _zp_integer_numerators(p: ZPoly) -> tuple[int, list[list[int]]]:
     """(d, d*p as integer lists) with d the least common denominator of p."""
-    d = lcm(*[c.denominator for ci in p for c in ci.coeffs])
-    return d, [[c.numerator * (d // c.denominator) for c in ci.coeffs] for ci in p]
+    d = lcm(*[c._den for c in p])
+    return d, [c._ints if c._den == d else [a * (d // c._den) for a in c._ints]
+               for c in p]
 
 
 def _evaluate(ints: list[int], xi: int) -> int:
@@ -202,7 +201,7 @@ def resultant_with_quadratic(p: ZPoly, f: UPoly) -> ZPoly:
         return ZP_ZERO
     n = len(p) - 1
     d, ints = _zp_integer_numerators(p)
-    e, ef = _integer_numerators(f.coeffs)
+    e, ef = f._den, f._ints
     big_f = [c * e for c in ef]
     q = [[c * e ** (n - i) for c in row] for i, row in enumerate(ints)]
     # the slots also hold the coefficients of q and F: q's are below the
@@ -259,9 +258,8 @@ def resultant_tower(fs: Sequence[UPoly]) -> ZPoly:
     UPolys: the coefficient of z^(2j) is row j over c^(2N - 2j), N the
     degree in w, and the odd coefficients are zero.
     """
-    c = lcm(*[a.denominator for f in fs for a in f.coeffs])
-    big_fs = [[a.numerator * (c // a.denominator) * c for a in f.coeffs]
-              for f in fs]
+    c = lcm(*[f._den for f in fs])
+    big_fs = [[a * (c // f._den * c) for a in f._ints] for f in fs]
     rows = [[-a for a in big_fs[0]], [1]]
     for big_f in big_fs[1:]:
         rows = _tower_step(rows, big_f)

@@ -1,8 +1,8 @@
 """Fraction-based references for the integer front end.
 
 The library runs Yun's algorithm and the coprime basis on primitive
-integer coefficient lists, and its parser evaluates on integer
-coefficient lists.  The straightforward versions over Q below, with
+integer coefficient lists, and its parser evaluates with UPoly, whose
+arithmetic runs on integer numerators.  The straightforward versions over Q below, with
 gcd_cofactors on UPoly values and a parser that evaluates every node as
 a RatFunc, are what the tests compare those against; the parser shares
 only the library's cost budget.  euclid_gcd_cofactors is gcd_cofactors
@@ -18,7 +18,10 @@ chained_resultant_tower is the minimal polynomial tower as the chain of
 resultant_with_quadratic steps in z that the library's resultant_tower
 replaced.
 fraction_to_str prints a UPoly with Fraction comparisons on each
-coefficient, the form UPoly.to_str replaced.  squaring_int_pow raises an
+coefficient, the form UPoly.to_str replaced.  FractionPoly is a polynomial
+as a tuple of Fraction coefficients, the representation UPoly had before
+it kept integer numerators over one denominator, with schoolbook
+arithmetic.  squaring_int_pow raises an
 integer list to a power by repeated squaring, as the library did before
 it took powers of short bases by Miller's recurrence.
 """
@@ -462,3 +465,62 @@ def squaring_int_pow(f: list[int], n: int) -> list[int]:
         if not n:
             return result
         f = _int_mul(f, f)
+
+
+class FractionPoly:
+    """Polynomial over Q as a tuple of Fractions, constant term first, with
+    no trailing zeros; arithmetic by the schoolbook formulas."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
+
+    def __neg__(self):
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        return FractionPoly((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                            for k in range(max(len(a), len(b))))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+        return FractionPoly(out)
+
+    def __pow__(self, n: int):
+        out = FractionPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, c):
+        return FractionPoly(a / c for a in self.coeffs)
+
+    def __divmod__(self, other):
+        rem = list(self.coeffs)
+        b = other.coeffs
+        quo = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+        for k in range(len(quo) - 1, -1, -1):
+            q = rem[k + len(b) - 1] / b[-1]
+            quo[k] = q
+            for j, c in enumerate(b):
+                rem[k + j] -= q * c
+        return FractionPoly(quo), FractionPoly(rem)
+
+    def derivative(self):
+        return FractionPoly(k * c for k, c in enumerate(self.coeffs) if k)
+
+    def monic(self):
+        return self / self.coeffs[-1]

@@ -220,6 +220,15 @@ class TestRobustInput:
         assert out == ""
         assert "nested too deeply" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["decide", "genus", "minpoly",
+                                         "rationalize"])
+    def test_file_not_utf8_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "r.txt"
+        path.write_bytes(b"x-1\r\n# caf\xc3\xa9\nx\n\xff\xfe\n")
+        code, out, err = run(capsys, [command, "--file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 at byte 15\n"
+
 
 REPEATED = [
     ["decide", "x", "4*x+1", "x^2-4*x"],

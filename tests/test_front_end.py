@@ -1,9 +1,9 @@
 """The integer front end against its Fraction-based references.
 
 squarefree_decompose and coprime_basis run on primitive integer
-coefficient lists, and parse_expr evaluates on integer coefficient lists;
-tests/oracles.py keeps the versions over Q and the RatFunc evaluator
-they replaced.
+coefficient lists, and parse_expr evaluates with UPoly, whose arithmetic
+runs on integer numerators; tests/oracles.py keeps the versions over Q
+and the RatFunc evaluator they replaced.
 """
 
 from fractions import Fraction
@@ -23,7 +23,7 @@ from oracles import (
 from sqrat import parsing, poly
 from sqrat.errors import ExprSyntaxError, ParseError
 from sqrat.parsing import parse_expr
-from sqrat.poly import UPoly, coprime_basis, squarefree_decompose
+from sqrat.poly import RatFunc, UPoly, coprime_basis, squarefree_decompose
 
 X = UPoly.x()
 
@@ -75,7 +75,7 @@ def test_yun_steps_over_absent_multiplicities(monkeypatch):
     original = poly._int_gcd_cofactors
     monkeypatch.setattr(poly, "_int_gcd_cofactors",
                         lambda f, g: calls.append(1) or original(f, g))
-    f = poly._primitive(((X + 2) ** 60 * (X - 1)).coeffs)[1]
+    f = poly._primitive((X + 2) ** 60 * (X - 1))[1]
     parts = poly._int_squarefree(f)
     assert len(calls) <= 3
     assert [(poly._monic(p), i) for p, i in parts] == [(X - 1, 1), (X + 2, 60)]
@@ -271,15 +271,16 @@ def test_parser_fixed_cases(text):
 
 def test_divisor_zero_test_computes_no_power(monkeypatch):
     # the divisor (x+1)^2048 is nonzero because x+1 is: the budget error
-    # at the last "*" comes before any power is computed
+    # at the last "*" comes before any power is computed (every UPoly power
+    # goes through poly._int_pow)
     calls = []
-    original = parsing._int_pow
+    original = poly._int_pow
 
     def counting(f, n):
         calls.append(n)
         return original(f, n)
 
-    monkeypatch.setattr(parsing, "_int_pow", counting)
+    monkeypatch.setattr(poly, "_int_pow", counting)
     with pytest.raises(ExprSyntaxError) as info:
         parse_expr("1/(x+1)^2048*x^4096*x")
     assert info.value.position == 19
@@ -287,15 +288,17 @@ def test_divisor_zero_test_computes_no_power(monkeypatch):
         "at position 19: expression too large: degree up to 4097, "
         "coefficients up to 2^2048 (limits 4096 and 2^8192)")
     assert calls == []
-    assert parse_expr("1/(x+1)^3") == ratfunc_parse_expr("1/(x+1)^3")
+    value = parse_expr("1/(x+1)^3")
     assert calls == [3]
+    monkeypatch.undo()
+    assert value == ratfunc_parse_expr("1/(x+1)^3")
 
 
 def test_nested_powers_are_one_power(monkeypatch):
     # ((x+1)^8)^8 is raised once, from the short base x + 1, as (x+1)^64 is
     calls = []
-    original = parsing._int_pow
-    monkeypatch.setattr(parsing, "_int_pow",
+    original = poly._int_pow
+    monkeypatch.setattr(poly, "_int_pow",
                         lambda f, n: calls.append((f, n)) or original(f, n))
     assert parse_expr("((x+1)^8)^8") == parse_expr("(x+1)^64")
     assert calls == [([1, 1], 64)] * 2
@@ -305,18 +308,18 @@ def test_nested_powers_are_one_power(monkeypatch):
     "(x-1)^3*(x^2+2*x-3)*(x+5)", "x^5-3*x+2", "(2*x+1)^9*(x-7)^4*3",
     "-(x^2+1)^2*(x-x+2)/4",
 ])
-def test_polynomial_text_makes_no_upoly_product(monkeypatch, text):
-    calls = []
-    original = UPoly.__mul__
-
-    def counting(self, other):
-        calls.append(other)
-        return original(self, other)
-
-    monkeypatch.setattr(UPoly, "__mul__", counting)
-    monkeypatch.setattr(UPoly, "__rmul__", counting)
+def test_polynomial_text_makes_no_ratfunc(monkeypatch, text):
+    # values stay UPolys, whose products are integer products: the only
+    # RatFunc is the result, and no gcd is taken
+    built, gcds = [], []
+    original_init = RatFunc.__init__
+    original_gcd = poly.gcd_cofactors
+    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args: (
+        built.append(args) or original_init(self, *args)))
+    monkeypatch.setattr(poly, "gcd_cofactors", lambda a, b: (
+        gcds.append((a, b)) or original_gcd(a, b)))
     value = parse_expr(text)
-    assert calls == []
+    assert len(built) == 1 and gcds == []
     monkeypatch.undo()
     assert value == ratfunc_parse_expr(text)
 

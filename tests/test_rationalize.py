@@ -88,6 +88,13 @@ class TestRationalizeConic:
         s = rationalize_conic(f)
         assert isinstance(is_square(substitute(f, s)), SquareOverQ)
 
+    def test_rational_root_is_a_point_of_the_line_formula(self):
+        # 6*(x - 1)*(x + 1/2): a = 6 is no square, the roots are r = 1 and
+        # r' = -1/2, and the lines through (r, 0) give the substitution
+        # (r t^2 - a r') / (t^2 - a), since a*(r + r') = -b
+        s = rationalize_conic(RatFunc(6 * (X - 1) * (X + Fraction(1, 2))))
+        assert s == RatFunc(UPoly((3, 0, 1)), UPoly((-6, 0, 1)))
+
     def test_no_rational_point(self):
         with pytest.raises(NoRationalPointFoundError):
             rationalize_conic(RatFunc(3 - X**2))
@@ -214,6 +221,21 @@ class TestGreedy:
                 assert len(failures) == before
         assert gave_up > 0
 
+    def test_steps_read_only_the_class(self, monkeypatch):
+        # each step gets c*g from its target's square class, a polynomial
+        # of degree <= 2, not the transformed target
+        seen = []
+        for name in ("rationalize_linear", "rationalize_conic"):
+            step = getattr(rationalize, name)
+            monkeypatch.setattr(rationalize, name,
+                                lambda f, _step=step: seen.append(f) or _step(f))
+        fam = [RatFunc((X - 1) * (X + 3) ** 2, (X + 5) ** 4),
+               RatFunc((X - 2) * (X + 7) ** 2)]
+        w = greedy_rationalize(fam)
+        assert w is not None and verify_witness(fam, w) == (True, [])
+        assert [f.degree for f in seen] == [1, 2]
+        assert all(isinstance(f, UPoly) for f in seen)
+
     def test_constant_defects_recorded(self):
         fam = [RatFunc(5), RatFunc(X)]
         w = greedy_rationalize(fam)
@@ -253,6 +275,28 @@ class TestGreedy:
                     assert found == SquareOverQ(root)
                 else:
                     assert found == SquareOverC(defect=defect, root=root)
+
+
+def _no_sum(*args):
+    raise AssertionError("a RatFunc sum was computed")
+
+
+class TestIdentitySubstitution:
+    def test_returns_its_input(self):
+        f = RatFunc((X + 1) ** 3, X - 2)
+        assert substitute(f, RatFunc(X)) is f
+        p = (X + 1) ** 5
+        assert substitute(p, RatFunc(X)) == RatFunc(p)
+
+    def test_square_radicand_of_high_degree(self, monkeypatch):
+        # a square radicand has the witness x -> x; verifying it takes no
+        # Horner steps (a RatFunc sum per degree, the old cost)
+        monkeypatch.setattr(RatFunc, "__add__", _no_sum)
+        monkeypatch.setattr(RatFunc, "__radd__", _no_sum)
+        f = RatFunc((X + 1) ** 512)
+        w = greedy_rationalize([f])
+        assert w.phi == RatFunc(X) and w.roots == (RatFunc((X + 1) ** 256),)
+        assert verify_witness([f], w) == (True, [])
 
 
 class TestVerifyWitness:
