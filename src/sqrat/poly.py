@@ -7,7 +7,8 @@ zero polynomial is [] over 1; its degree is the sentinel None, never -1.
 Values and kernels share these lists, so no list is changed in place.
 Fractions are built only when asked for (coeffs, coeff, leading).  A
 rational function keeps numerator and denominator coprime with a monic
-denominator, so its equality is structural too; negation, and sums,
+denominator (its leading numerator equals its denominator, no Fraction
+needed to tell), so its equality is structural too; negation, and sums,
 products and quotients with a constant (sums with a polynomial), keep
 that form without a gcd.  Products use Kronecker substitution: the
 integer numerators of each operand are packed into one Python int, so a
@@ -44,6 +45,18 @@ Yun's algorithm and the coprime basis take the primitive part of the
 integer numerators on the way in and put a monic UPoly over its leading
 coefficient on the way out, so their gcds, cofactors and derivatives are
 integer list operations.
+
+Substitution takes no gcd.  With s = a/b reduced and f = P/Q (Q = 1 for a
+polynomial), n = max(deg P, deg Q), the homogeneous images
+P~ = sum P_k a^k b^(n-k) and Q~ (b^n for a polynomial) are coprime, so
+f(s) = P~/Q~ only needs its denominator made monic: a common root with
+b != 0 would be a common root of P and Q at the value of s there, and at
+a root of b whichever image comes from degree n is its leading
+coefficient times a^n, nonzero because a and b are coprime.  An image is
+built by halves on integer rows: f = f_lo + x^m f_hi with
+m = ceil((n+1)/2) gives N = N_lo b^(n-m+1) + a^m N_hi, O(log n) levels of
+balanced Kronecker products, and a PowerTable keeps the powers of a and b
+so that the images taken with one s share them.
 
 Decision-level code treats nonzero constants as squares (true over C, the
 constant field the geometry lives over); only witness verification cares
@@ -327,8 +340,8 @@ def _add(a: UPoly, b: UPoly, sign: int) -> UPoly:
     da, db = a._den, b._den
     g = gcd(da, db)
     ia = a._ints if db == g else [c * (db // g) for c in a._ints]
-    scale = -sign * (da // g)
-    return _lowest(_int_sub(ia, [scale * c for c in b._ints]), da // g * db)
+    scale = sign * (da // g)
+    return _lowest(_int_add(ia, [scale * c for c in b._ints]), da // g * db)
 
 
 def _pack(ints: list[int], width: int) -> int:
@@ -420,12 +433,7 @@ class RatFunc:
             return
         if not d.is_constant:  # a nonzero constant denominator has gcd 1
             _, n, d = gcd_cofactors(n, d)
-        lead = d.leading
-        if lead != 1:
-            n = n / lead
-            d = d / lead
-        self._num = n
-        self._den = d
+        self._num, self._den = _monic_den(n, d)
 
     @classmethod
     def x(cls) -> RatFunc:
@@ -560,12 +568,22 @@ def _coprime_ratfunc(num: UPoly, den: UPoly) -> RatFunc:
 
     Only the denominator is made monic; num must be nonzero unless den is 1.
     """
-    lead = den.leading
-    if lead != 1:
-        num, den = num / lead, den / lead
     out = RatFunc.__new__(RatFunc)
-    out._num, out._den = num, den
+    out._num, out._den = _monic_den(num, den)
     return out
+
+
+def _monic_den(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
+    """(num/l, den/l) for l the leading coefficient of the nonzero den.
+
+    den is monic when its leading numerator equals its denominator; only
+    a denominator that is not gets scaled, on the integer rows.
+    """
+    ints, d = den._ints, den._den
+    lead = ints[-1]
+    if lead == d:
+        return num, den
+    return _lowest([c * d for c in num._ints], num._den * lead), _monic(ints)
 
 
 def _coerce_ratfunc(value) -> RatFunc | None:
@@ -785,7 +803,7 @@ def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
     i = 1
     while len(b) > 1:
         db = _int_derivative(b)
-        d = _int_sub(c, db)
+        d = _int_add(c, [-x for x in db])
         if not d:  # every factor left in b has multiplicity i
             parts.append((b, i))
             break
@@ -795,7 +813,7 @@ def _int_squarefree(f: list[int]) -> list[tuple[list[int], int]]:
         else:  # no factor of multiplicity i: b stays and c = d
             skip = _empty_steps(b, d, db, len(f) - 1)
             if skip:
-                c = _int_sub(d, [skip * x for x in db])
+                c = _int_add(d, [-skip * x for x in db])
             i += skip
         i += 1
     return parts
@@ -834,11 +852,11 @@ def _int_derivative(f: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(f) if k]
 
 
-def _int_sub(a: list[int], b: list[int]) -> list[int]:
-    """a - b without trailing zeros."""
+def _int_add(a: list[int], b: list[int]) -> list[int]:
+    """a + b without trailing zeros."""
     if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    out = [x - y for x, y in zip(a, b)] + a[len(b):]
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)] + a[len(b):]
     while out and not out[-1]:
         out.pop()
     return out
@@ -995,29 +1013,95 @@ def coprime_basis(fs: Sequence[UPoly]) -> tuple[list[UPoly], list[list[int]]]:
 # -- substitution and square testing -----------------------------------------
 
 
-def substitute(f: UPoly | RatFunc, s: RatFunc) -> RatFunc:
+class PowerTable:
+    """A substitution s = a/b as alpha/beta on integer rows, with powers.
+
+    s must be a nonconstant RatFunc.  a/b = (A/da)/(B/db) = alpha/beta for
+    alpha = A*db/g and beta = B*da/g, g = gcd(da, db).  Each power is
+    computed once, on first use, and shared by every image taken with this
+    table.
+    """
+
+    __slots__ = ("s", "_alpha", "_beta")
+
+    def __init__(self, s: RatFunc):
+        if not isinstance(s, RatFunc):
+            raise TypeError("substitution image must be a RatFunc")
+        if s.is_constant:
+            raise ConstantSubstitutionError("substitution image must be nonconstant")
+        a, b = s.num, s.den
+        g = gcd(a._den, b._den)
+        self.s = s
+        self._alpha = {1: [c * (b._den // g) for c in a._ints]}
+        self._beta = {1: [c * (a._den // g) for c in b._ints]}
+
+    def alpha(self, k: int) -> list[int]:
+        return _cached_pow(self._alpha, k)
+
+    def beta(self, k: int) -> list[int]:
+        return _cached_pow(self._beta, k)
+
+
+def _cached_pow(table: dict[int, list[int]], k: int) -> list[int]:
+    """table[1]^k for k >= 1, kept in table."""
+    row = table.get(k)
+    if row is None:
+        row = table[k] = _int_pow(table[1], k)
+    return row
+
+
+def _homogeneous(ints: list[int], powers: PowerTable) -> list[int]:
+    """Sum of ints[k] * alpha^k * beta^(n-k), n = len(ints) - 1, by halves.
+
+    With m = ceil((n+1)/2), the low m coefficients give N_lo at degree
+    m - 1 and the rest N_hi at degree n - m, and
+    N = N_lo * beta^(n-m+1) + alpha^m * N_hi.  ints may end in zeros; a
+    zero sum is [].
+    """
+    if len(ints) == 1:
+        return ints if ints[0] else []
+    m = (len(ints) + 1) // 2
+    lo = _homogeneous(ints[:m], powers)
+    hi = _homogeneous(ints[m:], powers)
+    if lo:
+        lo = _int_mul(lo, powers.beta(len(ints) - m))
+    if hi:
+        hi = _int_mul(powers.alpha(m), hi)
+    return _int_add(lo, hi)
+
+
+def substitute(f: UPoly | RatFunc, s: RatFunc,
+               powers: PowerTable | None = None) -> RatFunc:
     """Compose f with the substitution x -> s(t), reduced to lowest terms.
 
     s must be nonconstant, so the induced endomorphism of Q(x) is injective.
+    powers, a PowerTable of this s, lets several images share its powers.
+    No gcd is taken: the image is the quotient of the homogeneous images of
+    numerator and denominator, which are coprime (see the module docstring).
     """
-    if not isinstance(s, RatFunc):
-        raise TypeError("substitution image must be a RatFunc")
-    if s.is_constant:
-        raise ConstantSubstitutionError("substitution image must be nonconstant")
+    if powers is None:
+        powers = PowerTable(s)
+    elif powers.s is not s:
+        raise ValueError("the power table belongs to another substitution")
     if not isinstance(f, (UPoly, RatFunc)):
         raise TypeError("substitute expects a UPoly or RatFunc")
     if s.den.is_one and s.num._ints == [0, 1] and s.num._den == 1:
         return _coerce_ratfunc(f)  # x -> x leaves f as it is
-    if isinstance(f, RatFunc):
-        den = substitute(f.den, s)
-        if den.is_zero:
-            raise RuntimeError("nonzero denominator vanished under substitution")
-        return substitute(f.num, s) / den
-    # Horner on the integer numerators, then one division by the denominator
-    acc = RatFunc(0)
-    for c in reversed(f._ints):
-        acc = acc * s + c
-    return acc if f._den == 1 else acc / f._den
+    p, q = (f, UPoly.one()) if isinstance(f, UPoly) else (f.num, f.den)
+    if not p:
+        return RatFunc(0)
+    size = max(len(p._ints), len(q._ints))  # n + 1
+    num = _homogeneous(p._ints, powers)
+    den = _homogeneous(q._ints, powers)
+    if len(p._ints) < size:
+        num = _int_mul(num, powers.beta(size - len(p._ints)))
+    elif len(q._ints) < size:
+        den = _int_mul(den, powers.beta(size - len(q._ints)))
+    if not den:
+        raise RuntimeError("nonzero denominator vanished under substitution")
+    # f(s) = (num / p._den) / (den / q._den), over a monic denominator
+    return _coprime_ratfunc(
+        _lowest([c * q._den for c in num], p._den * den[-1]), _monic(den))
 
 
 def fraction_sqrt(c: Fraction) -> Fraction | None:

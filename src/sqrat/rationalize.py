@@ -40,6 +40,7 @@ from .errors import (
 )
 from .lattice import _coerce_radicands, build_branch_table, gf2_eliminate
 from .poly import (
+    PowerTable,
     RatFunc,
     SquareOverQ,
     UPoly,
@@ -201,8 +202,9 @@ def greedy_rationalize(radicands: Sequence[RatFunc | UPoly]) -> Witness | None:
             step = rationalize_linear(rep) if d == 1 else rationalize_conic(rep)
         except NoRationalPointFoundError:
             return None
-        phi = substitute(phi, step)
-        targets = [substitute(g, step) for g in targets]
+        powers = PowerTable(step)
+        phi = substitute(phi, step, powers)
+        targets = [substitute(g, step, powers) for g in targets]
     roots = []
     defects = []
     for c, _, h in classes:
@@ -224,28 +226,34 @@ def verify_witness(radicands: Sequence[RatFunc | UPoly],
                    witness: Witness) -> tuple[bool, list[tuple[int, Fraction]]]:
     """Check a witness symbolically.
 
-    Accepted iff for every i the ratio substitute(f_i, phi) / roots[i]^2 is
-    a constant; ratios different from 1 are returned as (index, defect)
-    pairs, marking the witness as valid over C only.  No exceptions: this
-    is a verification result.
+    Accepted iff for every i the image substitute(f_i, phi) is a constant
+    d times roots[i]^2; every d different from 1 is returned as an
+    (index, defect) pair, marking the witness as valid over C only.  No
+    exceptions: this is a verification result.
+
+    No gcd is taken.  The image is reduced with a monic denominator, and
+    so is roots[i]^2, the squares of a reduced numerator and denominator;
+    a nonzero constant multiple d * N/D of a reduced N/D with D monic is
+    reduced with D monic too.  Such forms are unique, so the image equals
+    d * roots[i]^2 exactly when its denominator is D and its numerator is
+    d * N, with d the ratio of the leading coefficients.
     """
     rads = _coerce_radicands(radicands)
     if len(rads) != len(witness.roots):
         return False, []
+    powers = PowerTable(witness.phi)
     defects: list[tuple[int, Fraction]] = []
     for i, f in enumerate(rads):
-        image = substitute(f, witness.phi)
-        root = witness.roots[i]
-        if root.is_zero:
-            if image.is_zero:
-                continue
+        image = substitute(f, witness.phi, powers)
+        square = witness.roots[i] ** 2
+        if image.den != square.den or not square:
             return False, []
-        ratio = image / (root * root)
-        if not ratio.is_constant:
+        if image.num == square.num:
+            continue
+        d = image.num.leading / square.num.leading
+        if image.num != square.num * d:
             return False, []
-        d = ratio.as_fraction
-        if d != 1:
-            defects.append((i, d))
+        defects.append((i, d))
     return True, defects
 
 

@@ -23,7 +23,9 @@ as a tuple of Fraction coefficients, the representation UPoly had before
 it kept integer numerators over one denominator, with schoolbook
 arithmetic.  squaring_int_pow raises an
 integer list to a power by repeated squaring, as the library did before
-it took powers of short bases by Miller's recurrence.
+it took powers of short bases by Miller's recurrence.  horner_substitute
+is substitution by Horner's rule over RatFunc, a gcd at every step, which
+the library's gcd-free homogeneous images computed by halves replaced.
 """
 
 from __future__ import annotations
@@ -524,3 +526,17 @@ class FractionPoly:
 
     def monic(self):
         return self / self.coeffs[-1]
+
+
+def horner_substitute(f: UPoly | RatFunc, s: RatFunc) -> RatFunc:
+    """f(s) by Horner's rule over RatFunc, reduced by a gcd at every step."""
+    if isinstance(f, RatFunc):
+        den = horner_substitute(f.den, s)
+        if den.is_zero:
+            raise RuntimeError("nonzero denominator vanished under substitution")
+        return horner_substitute(f.num, s) / den
+    # Horner on the integer numerators, then one division by the denominator
+    acc = RatFunc(0)
+    for c in reversed(f._ints):
+        acc = acc * s + c
+    return acc if f._den == 1 else acc / f._den

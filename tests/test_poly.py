@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_poly, ratfuncs, upolys
-from oracles import expand, fraction_to_str, radical
+from oracles import expand, fraction_to_str, horner_substitute, radical
 from sqrat import poly
 from sqrat.errors import ConstantSubstitutionError, ZeroInputError
 from sqrat.poly import (
     NotSquare,
+    PowerTable,
     RatFunc,
     SquareOverC,
     SquareOverQ,
@@ -306,6 +307,62 @@ class TestSubstitute:
     def test_ring_homomorphism(self, f, g, s):
         assert substitute(f + g, s) == substitute(f, s) + substitute(g, s)
         assert substitute(f * g, s) == substitute(f, s) * substitute(g, s)
+
+
+# images: polynomials (denominator 1) and quotients, with coefficients
+# that are not integers; never constant
+SUBSTITUTIONS = st.one_of(upolys(3).map(RatFunc), ratfuncs(2)).filter(
+    lambda r: not r.is_constant)
+
+# zero, constants, polynomials over a denominator and quotients P/Q with
+# deg P below, equal to and above deg Q
+SUBSTITUTED = [
+    UPoly.zero(), RatFunc(0), UPoly.constant(Fraction(-3, 4)), RatFunc(5),
+    X / 3 + Fraction(1, 2), (X + Fraction(1, 3)) ** 9 - 2,
+    RatFunc(X + 2, X**3 - X + 1), RatFunc(3 * X**2 - 1, 2 * X**2 + X),
+    RatFunc((X - 1) ** 7, X**2 + 1), RatFunc(1, X**12 - 5),
+    RatFunc(X**15 + Fraction(7, 5) * X, (2 * X - 1) ** 4),
+]
+
+
+class TestSubstituteByHalves:
+    """substitute against Horner's rule over RatFunc (tests/oracles.py)."""
+
+    @given(f=st.one_of(upolys(0), upolys(16), ratfuncs(9)), s=SUBSTITUTIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_horner(self, f, s):
+        image = horner_substitute(f, s)
+        assert substitute(f, s) == image
+        powers = PowerTable(s)  # one table shared by several images
+        assert substitute(f, s, powers) == image
+        assert substitute(f, s, powers) == image
+
+    @pytest.mark.parametrize("s", [
+        RatFunc(X**2), RatFunc(Fraction(2, 3) * X**2 - Fraction(1, 5)),
+        RatFunc(X**2 + 1, X - 3), RatFunc(X / 2, X + Fraction(1, 2)),
+        RatFunc(Fraction(-3, 7) * X**2 + 1, X**2 - 2 * X)])
+    def test_examples_match_horner(self, s):
+        powers = PowerTable(s)
+        for f in SUBSTITUTED:
+            image = horner_substitute(f, s)
+            assert substitute(f, s) == image
+            assert substitute(f, s, powers) == image
+
+    def test_takes_no_gcd(self, monkeypatch):
+        images = [RatFunc(X**2 + 1, X - 3), RatFunc(X / 2, X + Fraction(1, 2)),
+                  RatFunc(Fraction(2, 3) * X**2 - 1)]
+        calls = []
+        real = poly.gcd_cofactors
+        monkeypatch.setattr(poly, "gcd_cofactors",
+                            lambda *args: calls.append(args) or real(*args))
+        for s in images:
+            for f in SUBSTITUTED:
+                substitute(f, s)
+        assert calls == []
+
+    def test_table_of_another_substitution_rejected(self):
+        with pytest.raises(ValueError):
+            substitute(X, RatFunc(X**2), PowerTable(RatFunc(X**2)))
 
 
 class TestIsSquare:

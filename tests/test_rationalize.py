@@ -321,6 +321,34 @@ class TestVerifyWitness:
         ok, _ = verify_witness([RatFunc(X)], w)
         assert not ok
 
+    @staticmethod
+    def _textbook(first_root):
+        # the witness above for [x, 1 - x], with its first root replaced
+        w = Witness(phi=RatFunc(2 * T, T * T + 1) ** 2,
+                    roots=(first_root, RatFunc(1 - T * T, T * T + 1)),
+                    defects=(Fraction(1), Fraction(1)))
+        return verify_witness([RatFunc(X), RatFunc(1 - X)], w)
+
+    def test_right_numerator_wrong_denominator_rejected(self):
+        assert self._textbook(RatFunc(2 * T, T * T + 2)) == (False, [])
+
+    def test_root_off_by_a_factor_of_its_denominator_rejected(self):
+        root = RatFunc(2 * T, (T * T + 1) * (T + 3))
+        assert self._textbook(root) == (False, [])
+
+    def test_constant_multiple_of_the_root_has_its_defect(self):
+        root = RatFunc(6 * T, T * T + 1)
+        assert self._textbook(root) == (True, [(0, Fraction(1, 9))])
+        root = RatFunc(Fraction(-2, 5) * T, T * T + 1)
+        assert self._textbook(root) == (True, [(0, Fraction(25))])
+
+    def test_zero_root_rejected(self):
+        assert self._textbook(RatFunc(0)) == (False, [])
+        # an image over 1, like the square of a zero root
+        w = Witness(phi=RatFunc(UPoly((1, 0, 1))), roots=(RatFunc(0),),
+                    defects=(Fraction(1),))
+        assert verify_witness([RatFunc(X - 1)], w) == (False, [])
+
     def test_miscopied_witness_rejected(self):
         # same family, but the first root has an extra factor of t: the
         # commuting condition fails and the verifier must notice
