@@ -33,11 +33,19 @@ class WrongDegreeError(SqratError):
 
 
 class NoRationalPointFoundError(SqratError):
-    """The bounded search found no rational point on the conic.
+    """No rational point was found on the conic.
 
+    place says why.  It is "inf" (the real place) or an odd prime p when
+    the Hilbert symbol of the conic is -1 there, a proof that the conic
+    has no rational point at any height.  It is None when the bounded
+    search ran out, so a point may still exist beyond the search height.
     Over an algebraically closed constant field a parametrization always
-    exists; over Q it may not, or may lie beyond the search height.
+    exists.
     """
+
+    def __init__(self, message: str, place: str | int | None = None):
+        super().__init__(message)
+        self.place = place
 
 
 class ReduciblePowerError(SqratError):

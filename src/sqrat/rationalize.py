@@ -11,6 +11,15 @@ point: the greedy construction is deliberately incomplete, the decision
 module stays authoritative, and a genus zero family may still come back
 as unknown here.
 
+A conic step tries, in order: a square leading coefficient, a rational
+root, a local test, and a bounded point search.  The local test completes
+the square and looks for a place where the Hilbert symbol of the conic is
+-1, at the real place or at an odd prime that trial division finds.  Such
+a place proves that no rational point exists, so the step gives up there
+without searching.  The test is one-sided: a conic it passes is searched
+exactly as before, and a conic it rejects has no point for the search to
+find, so every witness is the same as without it.
+
 Constants are squares over C but not always over Q; such leftovers are
 recorded as constant defects on the witness, never silently accepted.
 
@@ -102,12 +111,18 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
          x -> (t^2 - c) / (b - 2 s t);
       2. lines through a rational point (x0, z0) on z^2 = R,
          x -> (x0 t^2 - 2 z0 t + a x0 + b) / (t^2 - a), at (r, 0) when R
-         has a rational root r, else at the first point that a bounded
-         search with numerator and denominator heights <= 100 finds.
+         has a rational root r;
+      3. otherwise a local test first: a place where the Hilbert symbol
+         (a, D) is -1 (_obstructing_place) proves that no point exists;
+      4. else the same lines through the first point that a bounded search
+         with numerator and denominator heights <= 100 finds.
 
-    Raises NoRationalPointFoundError when the search is exhausted.  Over C
-    a parametrization always exists; the decision module, not this one, is
-    the authority on rationalizability.
+    Raises NoRationalPointFoundError with the place when step 3 finds one,
+    and with place None when the search is exhausted.  Step 3 is one-sided:
+    a conic it rejects has no rational point at any height, so the search
+    would have failed too, and every conic it passes is searched as before.
+    Over C a parametrization always exists; the decision module, not this
+    one, is the authority on rationalizability.
     """
     cc, g, _ = square_class(f)
     if g.degree != 2:
@@ -126,6 +141,13 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
         if disc_root is not None:
             point = ((-p + disc_root) / 2, Fraction(0))
         else:
+            # b^2 - 4ac = a^2 (p^2 - 4q): the same square class
+            place = _obstructing_place(a, p * p - 4 * q)
+            if place is not None:
+                where = "the real place" if place == "inf" else f"p = {place}"
+                raise NoRationalPointFoundError(
+                    f"the conic has no rational point: its Hilbert symbol "
+                    f"is -1 at {where}", place=place)
             point = _search_rational_point(a, b, c)
             if point is None:
                 raise NoRationalPointFoundError(
@@ -138,6 +160,67 @@ def rationalize_conic(f: RatFunc | UPoly) -> RatFunc:
     if not isinstance(is_square(substitute(rep, sub)), SquareOverQ):
         raise RuntimeError("conic parametrization failed to square the class")
     return sub
+
+
+def _obstructing_place(a: Fraction, d: Fraction) -> str | int | None:
+    """A place where the Hilbert symbol (a, d) is -1, else None.
+
+    For a and d not squares in Q, z^2 = a x^2 + b x + c with
+    d = b^2 - 4ac is Y^2 - a Z^2 = d after completing the square
+    (Y = 2ax + b, Z = 2z).  By the easy half of Hasse-Minkowski, a symbol
+    -1 at one place proves that it has no rational point.  The test is
+    one-sided: it checks the real place, where the symbol is -1 iff a < 0
+    and d < 0, and the odd primes of the squarefree kernels of a and d
+    that _odd_prime_factors finds.  2 is not checked: by the product
+    formula the symbol is -1 at an even number of places, so once every
+    other place gives 1, so does 2.  None proves nothing.
+    """
+    if a < 0 and d < 0:
+        return "inf"
+    # integers of the same square classes as a and d
+    ka = a.numerator * a.denominator
+    kd = d.numerator * d.denominator
+    fa, fd = _odd_prime_factors(ka), _odd_prime_factors(kd)
+    for p in sorted(fa.keys() | fd.keys()):
+        alpha, beta = fa.get(p, 0), fd.get(p, 0)
+        if alpha % 2 == 0 and beta % 2 == 0:
+            continue
+        # (a, d)_p is the Legendre symbol of (-1)^(alpha beta) u^beta v^alpha
+        # for ka = p^alpha u and kd = p^beta v; Euler's criterion gives it.
+        # A p that the trial division of one of them missed stays in its
+        # u or v: p is skipped above or w = 0 mod p, so nothing is claimed
+        u, v = ka // p ** alpha, kd // p ** beta
+        w = (-1) ** (alpha * beta) * u ** (beta % 2) * v ** (alpha % 2)
+        if pow(w % p, (p - 1) // 2, p) == p - 1:
+            return p
+    return None
+
+
+def _odd_prime_factors(n: int) -> dict[int, int]:
+    """Odd primes dividing the nonzero n, with exponents, by trial division.
+
+    Divisors run up to CONIC_SEARCH_HEIGHT^2, which keeps the cost below
+    that of the point search the test replaces.  A cofactor left below the
+    square of the next divisor is prime and is listed too; a larger one is
+    left out, so a prime may be missing but none listed is wrong, and the
+    listed exponents are exact.
+    """
+    n = abs(n)
+    n //= n & -n  # the odd part
+    found = {}
+    bound = CONIC_SEARCH_HEIGHT ** 2
+    d = 3
+    while d <= bound and d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            found[d] = e
+        d += 2
+    if 1 < n < d * d:
+        found[n] = 1
+    return found
 
 
 def _search_rational_point(a: Fraction, b: Fraction, c: Fraction,

@@ -26,6 +26,10 @@ integer list to a power by repeated squaring, as the library did before
 it took powers of short bases by Miller's recurrence.  horner_substitute
 is substitution by Horner's rule over RatFunc, a gcd at every step, which
 the library's gcd-free homogeneous images computed by halves replaced.
+hilbert_symbol and hilbert_obstructions give the Hilbert symbol of two
+rationals at every place, 2 included, from sympy's factorization: the
+reference for the library's one-sided conic test, which checks the real
+place and the odd primes that trial division finds.
 """
 
 from __future__ import annotations
@@ -540,3 +544,46 @@ def horner_substitute(f: UPoly | RatFunc, s: RatFunc) -> RatFunc:
     for c in reversed(f._ints):
         acc = acc * s + c
     return acc if f._den == 1 else acc / f._den
+
+
+def hilbert_symbol(a: Fraction, b: Fraction, place: str | int) -> int:
+    """(a, b)_v of nonzero rationals at v = "inf" or a prime, +1 or -1.
+
+    The formulas of Serre, A Course in Arithmetic, III.1.2, on the integers
+    num * den of the same square classes, factored by sympy.factorint.
+    """
+    if place == "inf":
+        return -1 if a < 0 and b < 0 else 1
+    from sympy import factorint, legendre_symbol
+
+    p = place
+    ka, kb = a.numerator * a.denominator, b.numerator * b.denominator
+    alpha = factorint(abs(ka)).get(p, 0)
+    beta = factorint(abs(kb)).get(p, 0)
+    u, v = ka // p ** alpha, kb // p ** beta
+
+    def eps(w):
+        return (w - 1) // 2 % 2
+
+    if p == 2:
+        def omega(w):
+            return (w * w - 1) // 8 % 2
+
+        return (-1) ** (eps(u) * eps(v) + alpha * omega(v) + beta * omega(u))
+    return ((-1) ** (alpha * beta * eps(p))
+            * legendre_symbol(u % p, p) ** beta
+            * legendre_symbol(v % p, p) ** alpha)
+
+
+def hilbert_obstructions(a: Fraction, b: Fraction) -> list:
+    """Every place where (a, b) is -1: "inf" first, then primes in order.
+
+    Y^2 - a Z^2 = b has a rational point iff this list is empty
+    (Hasse-Minkowski); its length is even (the product formula).
+    """
+    from sympy import factorint
+
+    primes = {2}
+    for k in (a.numerator * a.denominator, b.numerator * b.denominator):
+        primes.update(factorint(abs(k)))
+    return [v for v in ("inf", *sorted(primes)) if hilbert_symbol(a, b, v) == -1]

@@ -5,10 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import corpus
 from conftest import random_factored_poly, random_poly, random_rational_family
+from oracles import hilbert_obstructions
 from sqrat import rationalize
 from sqrat.decide import RATIONALIZABLE, decide_set
 from sqrat.errors import (
@@ -29,6 +31,7 @@ from sqrat.poly import (
 from sqrat.rationalize import (
     CONIC_SEARCH_HEIGHT,
     Witness,
+    _obstructing_place,
     _search_rational_point,
     greedy_rationalize,
     minpoly_multiquadratic,
@@ -154,6 +157,81 @@ class TestPointSearch:
     def test_definite_indefinite_and_denominators(self, abc):
         assert (_search_rational_point(*abc)
                 == fraction_point_search(*abc, CONIC_SEARCH_HEIGHT))
+
+
+def _no_search(*args):
+    raise AssertionError("the rational point search ran")
+
+
+class TestConicObstruction:
+    @given(a=conic_coefficients, b=conic_coefficients, c=conic_coefficients)
+    @settings(max_examples=300, deadline=None)
+    def test_against_hilbert_symbols(self, a, b, c):
+        pytest.importorskip("sympy")
+        d = b * b - 4 * a * c
+        assume(fraction_sqrt(a) is None and fraction_sqrt(d) is None)
+        place = _obstructing_place(a, d)
+        found = hilbert_obstructions(a, d)
+        point = _search_rational_point(a, b, c, height=12)
+        assert len(found) % 2 == 0  # the oracle keeps the product formula
+        if place is not None:
+            assert place in found and place != 2
+            assert point is None
+        # every coefficient here factors below the trial bound
+        if [v for v in found if v != 2]:
+            assert place is not None
+        if point is not None:
+            assert place is None and found == []
+
+    @pytest.mark.parametrize("f, place", [
+        (-(X**2 + 1), "inf"),
+        (3 * (X**2 + 1), 3),
+        (3 - X**2, 3),
+        (3 * X**2 - 1, 3),
+    ])
+    def test_obstructed_conics_are_not_searched(self, monkeypatch, f, place):
+        monkeypatch.setattr(rationalize, "_search_rational_point", _no_search)
+        with pytest.raises(NoRationalPointFoundError) as info:
+            rationalize_conic(RatFunc(f))
+        assert info.value.place == place
+        where = "the real place" if place == "inf" else f"p = {place}"
+        assert where in str(info.value)
+
+    def test_prime_past_the_trial_bound_falls_through_to_the_search(
+            self, monkeypatch):
+        # 10^9 + 7 is a prime = 3 mod 4, so (p, -1) is -1 at p and at 2
+        # only; trial division up to 10^4 cannot prove p prime, so the test
+        # finds nothing and the search runs out, as without the test
+        pytest.importorskip("sympy")
+        p = 10**9 + 7
+        assert hilbert_obstructions(Fraction(p), Fraction(-4)) == [2, p]
+        assert _obstructing_place(Fraction(p), Fraction(-4)) is None
+        calls = []
+        search = rationalize._search_rational_point
+        monkeypatch.setattr(rationalize, "_search_rational_point",
+                            lambda *args: calls.append(args) or search(*args))
+        with pytest.raises(NoRationalPointFoundError) as info:
+            rationalize_conic(RatFunc(p * (X**2 + 1)))
+        assert info.value.place is None and len(calls) == 1
+
+    def test_none_strata_reach_no_search(self, monkeypatch):
+        # the witness workload's families without a witness end at a
+        # proven obstruction; those with a point still search for it
+        calls = []
+        search = rationalize._search_rational_point
+        monkeypatch.setattr(rationalize, "_search_rational_point",
+                            lambda *args: calls.append(args) or search(*args))
+        searches = {"conic_none": 0, "linear2_none": 0, "conic_point": 0}
+        for seed in (1, 2):
+            for index in range(40):
+                item = corpus.workloads.witness_item(seed, index)
+                kind = item["meta"]["kind"]
+                if kind in searches:
+                    before = len(calls)
+                    assert corpus.item_outcome(item)[0] == 0
+                    searches[kind] += len(calls) - before
+        assert searches["conic_none"] == searches["linear2_none"] == 0
+        assert searches["conic_point"] > 0
 
 
 class TestGreedy:
